@@ -24,10 +24,9 @@ from .errors import (
     ShapeError,
 )
 from .lstm import (
-    GATE_NAMES,
     AdamState,
     DenseParams,
-    LstmCellParams,
+    LstmParams,
     adam_step,
     dense_backward,
     dense_forward,
@@ -65,31 +64,58 @@ class ModelConfig:
             raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
+# Gate blocks of the stacked weights, named as model.json names them per gate.
+FILE_GATES = ("f", "i", "o", "c")
+
+
+def _shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Order and shape of every array in the flat parameter vector."""
+    u, m = cfg.units, cfg.features
+    return {"encoder.w": (u + m, 4 * u), "encoder.b": (4 * u,), "decoder.w": (2 * u, 4 * u),
+            "decoder.b": (4 * u,), "projection.weight": (m, u), "projection.bias": (m,)}
+
+
+def _split(flat: np.ndarray, cfg: ModelConfig) -> tuple[LstmParams, LstmParams, DenseParams]:
+    """Encoder, decoder and projection as views into one flat vector."""
+    shapes = list(_shapes(cfg).values())
+    bounds = np.cumsum([0] + [math.prod(s) for s in shapes])
+    if flat.shape != (bounds[-1],):
+        raise ShapeError(f"parameter vector has shape {flat.shape}, config needs ({bounds[-1]},)")
+    v = [flat[lo:hi].reshape(s) for lo, hi, s in zip(bounds, bounds[1:], shapes)]
+    return LstmParams(v[0], v[1]), LstmParams(v[2], v[3]), DenseParams(v[4], v[5])
+
+
 @dataclass
 class ModelWeights:
-    encoder: LstmCellParams
-    decoder: LstmCellParams
-    projection: DenseParams
+    """Every trainable array is a view into the one contiguous vector `theta`."""
+
+    theta: np.ndarray
     config: ModelConfig
+    encoder: LstmParams = field(init=False, repr=False)
+    decoder: LstmParams = field(init=False, repr=False)
+    projection: DenseParams = field(init=False, repr=False)
 
     def __post_init__(self):
-        cfg = self.config
-        if self.encoder.units != cfg.units or self.encoder.input_dim != cfg.features:
-            raise ShapeError("encoder dimensions disagree with the config")
-        if self.decoder.units != cfg.units or self.decoder.input_dim != cfg.units:
-            raise ShapeError("decoder dimensions disagree with the config")
-        if self.projection.weight.shape != (cfg.features, cfg.units):
-            raise ShapeError("projection must map units -> features")
+        self.theta = np.ascontiguousarray(self.theta, dtype=float)
+        self.encoder, self.decoder, self.projection = _split(self.theta, self.config)
 
-    def named_arrays(self) -> dict[str, np.ndarray]:
-        """Live views on every trainable array, keyed by a stable path."""
-        out: dict[str, np.ndarray] = {}
-        for part in ("encoder", "decoder"):
-            for name, arr in getattr(self, part).named_arrays():
-                out[f"{part}.{name}"] = arr
-        out["projection.weight"] = self.projection.weight
-        out["projection.bias"] = self.projection.bias
-        return out
+    @classmethod
+    def from_parts(
+        cls, encoder: LstmParams, decoder: LstmParams, projection: DenseParams, config: ModelConfig
+    ) -> "ModelWeights":
+        """Copy separately built layers into one parameter vector."""
+        arrays = (encoder.w, encoder.b, decoder.w, decoder.b, projection.weight, projection.bias)
+        if [a.shape for a in arrays] != list(_shapes(config).values()):
+            raise ShapeError("layer dimensions disagree with the config")
+        return cls(np.concatenate([a.ravel() for a in arrays]), config)
+
+    def locate(self, index: int) -> str:
+        """Name of entry `index` of theta, e.g. 'encoder.w[3, 17]'."""
+        for name, shape in _shapes(self.config).items():
+            if index < math.prod(shape):
+                return f"{name}{[int(i) for i in np.unravel_index(index, shape)]}"
+            index -= math.prod(shape)
+        raise IndexError(f"theta has no entry {index}")
 
 
 @dataclass
@@ -103,10 +129,10 @@ def build(config: ModelConfig, seed: int | None = None) -> ModelWeights:
     """Deterministic Glorot initialization under the given (or config) seed."""
     effective = config.seed if seed is None else seed
     rng = np.random.default_rng([effective, 0])
-    encoder = LstmCellParams.glorot(config.units, config.features, rng)
-    decoder = LstmCellParams.glorot(config.units, config.units, rng)
+    encoder = LstmParams.glorot(config.units, config.features, rng)
+    decoder = LstmParams.glorot(config.units, config.units, rng)
     projection = DenseParams.glorot(config.features, config.units, rng)
-    return ModelWeights(encoder, decoder, projection, config)
+    return ModelWeights.from_parts(encoder, decoder, projection, config)
 
 
 def _batch_array(batch: SequenceBatch | np.ndarray) -> np.ndarray:
@@ -116,12 +142,7 @@ def _batch_array(batch: SequenceBatch | np.ndarray) -> np.ndarray:
     return data
 
 
-def _forward_cached(
-    weights: ModelWeights,
-    x: np.ndarray,
-    mode: str,
-    rng: np.random.Generator | None,
-):
+def _forward(weights: ModelWeights, x: np.ndarray, mode: str, rng, keep_cache: bool):
     cfg = weights.config
     if x.shape[1] != cfg.timesteps or x.shape[2] != cfg.features:
         raise ShapeError(
@@ -134,16 +155,16 @@ def _forward_cached(
     if training and rng is None:
         raise ParameterError("train-mode forward with dropout requires an rng")
 
-    encoded, enc_cache = lstm_layer_forward(weights.encoder, x, return_sequences=False)
+    encoded, enc_cache = lstm_layer_forward(weights.encoder, x, False, keep_cache=keep_cache)
     enc_mask = dropout_mask(encoded.shape, cfg.dropout, rng) if training else None
     bottleneck = encoded * enc_mask if enc_mask is not None else encoded
-    repeated = np.repeat(bottleneck[:, None, :], cfg.timesteps, axis=1)
-    decoded, dec_cache = lstm_layer_forward(weights.decoder, repeated, return_sequences=True)
+    # a stride-0 view: the decoder projects the bottleneck once, not t times
+    repeated = np.broadcast_to(bottleneck[:, None, :], (x.shape[0], cfg.timesteps, cfg.units))
+    decoded, dec_cache = lstm_layer_forward(weights.decoder, repeated, True, keep_cache=keep_cache)
     dec_mask = dropout_mask(decoded.shape, cfg.dropout, rng) if training else None
     dec_out = decoded * dec_mask if dec_mask is not None else decoded
     recon = dense_forward(weights.projection, dec_out)
-    cache = (enc_cache, enc_mask, dec_cache, dec_mask, dec_out)
-    return recon, cache
+    return recon, (enc_cache, enc_mask, dec_cache, dec_mask, dec_out)
 
 
 def forward(
@@ -153,7 +174,7 @@ def forward(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Reconstruct every window; output shape equals input shape (w, t, m)."""
-    recon, _ = _forward_cached(weights, _batch_array(batch), mode, rng)
+    recon, _ = _forward(weights, _batch_array(batch), mode, rng, keep_cache=False)
     return recon
 
 
@@ -171,29 +192,31 @@ def loss_and_gradients(
     x: np.ndarray,
     mode: str = "train",
     rng: np.random.Generator | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """One forward/backward pass; gradients keyed like ModelWeights.named_arrays()."""
+    out: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
+    """One forward/backward pass; the gradient is laid out like weights.theta
+    and overwrites `out` when it is given."""
     x = _batch_array(x)
-    recon, cache = _forward_cached(weights, x, mode, rng)
+    recon, (enc_cache, enc_mask, dec_cache, dec_mask, dec_out) = _forward(
+        weights, x, mode, rng, keep_cache=True
+    )
     loss = float(np.mean(np.abs(recon - x)))
-    enc_cache, enc_mask, dec_cache, dec_mask, dec_out = cache
 
+    grad = np.empty_like(weights.theta) if out is None else out
+    d_enc, d_dec, d_proj = _split(grad, weights.config)
     d_recon = np.sign(recon - x) / recon.size
-    d_proj, d_dec_out = dense_backward(weights.projection, dec_out, d_recon)
-    d_decoded = d_dec_out * dec_mask if dec_mask is not None else d_dec_out
-    dec_grads, d_repeated = lstm_layer_backward(weights.decoder, dec_cache, d_decoded)
+    del recon  # each array is released once used, to keep the step's peak memory low
+    _, d_decoded = dense_backward(weights.projection, dec_out, d_recon, out=d_proj)
+    del d_recon, dec_out
+    if dec_mask is not None:
+        d_decoded *= dec_mask
+    del dec_mask
+    _, d_repeated = lstm_layer_backward(weights.decoder, dec_cache, d_decoded, out=d_dec)
+    del dec_cache, d_decoded
     d_bottleneck = d_repeated.sum(axis=1)
     d_encoded = d_bottleneck * enc_mask if enc_mask is not None else d_bottleneck
-    enc_grads, _ = lstm_layer_backward(weights.encoder, enc_cache, d_encoded)
-
-    grads: dict[str, np.ndarray] = {}
-    for name, arr in enc_grads.named_arrays():
-        grads[f"encoder.{name}"] = arr
-    for name, arr in dec_grads.named_arrays():
-        grads[f"decoder.{name}"] = arr
-    grads["projection.weight"] = d_proj.weight
-    grads["projection.bias"] = d_proj.bias
-    return loss, grads
+    lstm_layer_backward(weights.encoder, enc_cache, d_encoded, out=d_enc)
+    return loss, grad
 
 
 def train(
@@ -211,7 +234,7 @@ def train(
     data = _batch_array(benign_windows)
     val = _batch_array(val_windows) if val_windows is not None else None
     rng = np.random.default_rng([cfg.seed, 1])
-    params = weights.named_arrays()
+    grad = np.empty_like(weights.theta)
     adam = AdamState(lr=cfg.learning_rate)
     report = TrainReport(val_loss=[] if val is not None else None)
 
@@ -222,12 +245,12 @@ def train(
         total = 0.0
         for step, start in enumerate(range(0, n, cfg.batch_size)):
             xb = data[order[start : start + cfg.batch_size]]
-            loss, grads = loss_and_gradients(weights, xb, mode="train", rng=rng)
+            loss, grads = loss_and_gradients(weights, xb, mode="train", rng=rng, out=grad)
             if not math.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite training loss at epoch {epoch + 1}, step {step + 1}"
                 )
-            adam_step(params, grads, adam)
+            adam_step(weights.theta, grads, adam)
             total += loss * xb.shape[0]
         report.train_loss.append(total / n)
         if val is not None:
@@ -237,17 +260,19 @@ def train(
     return weights, report
 
 
-def _cell_to_doc(params: LstmCellParams) -> dict:
-    return {name: arr.tolist() for name, arr in params.named_arrays()}
+def _layer_to_doc(params: LstmParams) -> dict:
+    """Per-gate arrays as model.json v1 stores them: w_<gate> (units, units + input_dim)."""
+    u, doc = params.units, {}
+    for k, name in enumerate(FILE_GATES):
+        doc[f"w_{name}"] = params.w[:, k * u : (k + 1) * u].T.tolist()
+        doc[f"b_{name}"] = params.b[k * u : (k + 1) * u].tolist()
+    return doc
 
 
-def _cell_from_doc(doc: dict) -> LstmCellParams:
-    arrays = [
-        np.array(doc[name], dtype=float)
-        for g in GATE_NAMES
-        for name in (f"w_{g}", f"b_{g}")
-    ]
-    return LstmCellParams(*arrays)
+def _layer_from_doc(doc: dict) -> LstmParams:
+    w = [np.array(doc[f"w_{name}"], dtype=float).T for name in FILE_GATES]
+    b = [np.array(doc[f"b_{name}"], dtype=float) for name in FILE_GATES]
+    return LstmParams(np.concatenate(w, axis=1), np.concatenate(b))
 
 
 def save(weights: ModelWeights, path: str | Path) -> None:
@@ -255,8 +280,8 @@ def save(weights: ModelWeights, path: str | Path) -> None:
     doc = {
         "version": MODEL_FILE_VERSION,
         "config": asdict(weights.config),
-        "encoder": _cell_to_doc(weights.encoder),
-        "decoder": _cell_to_doc(weights.decoder),
+        "encoder": _layer_to_doc(weights.encoder),
+        "decoder": _layer_to_doc(weights.decoder),
         "projection": {
             "weight": weights.projection.weight.tolist(),
             "bias": weights.projection.bias.tolist(),
@@ -276,9 +301,9 @@ def load(path: str | Path) -> ModelWeights:
         raise ModelFormatError(f"{path}: unsupported model file version {doc.get('version')!r}")
     try:
         config = ModelConfig(**doc["config"])
-        return ModelWeights(
-            encoder=_cell_from_doc(doc["encoder"]),
-            decoder=_cell_from_doc(doc["decoder"]),
+        return ModelWeights.from_parts(
+            encoder=_layer_from_doc(doc["encoder"]),
+            decoder=_layer_from_doc(doc["decoder"]),
             projection=DenseParams(
                 np.array(doc["projection"]["weight"], dtype=float),
                 np.array(doc["projection"]["bias"], dtype=float),

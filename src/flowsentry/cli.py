@@ -283,12 +283,27 @@ def _evaluate_arrays(
     return report
 
 
+def _read_epoch_seconds(path: str) -> list[float]:
+    """The `epoch_seconds` list of a training history file, empty if absent."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"cannot read history file {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise DataError(f"{path}: not a valid history JSON file ({exc})") from exc
+    times = doc.get("epoch_seconds", []) if isinstance(doc, dict) else None
+    if not isinstance(times, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in times
+    ):
+        raise DataError(f"{path}: epoch_seconds must be a list of numbers")
+    return times
+
+
 def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
     scores, verdicts, labels = _read_verdicts(args.verdicts)
     metadata = {"config": cfg, "seed": cfg["seed"], "verdicts": str(args.verdicts)}
     if args.history:
-        doc = json.loads(Path(args.history).read_text(encoding="utf-8"))
-        times = doc.get("epoch_seconds", [])
+        times = _read_epoch_seconds(args.history)
         if times:
             metadata["epoch_time_mean"] = float(np.mean(times))
             metadata["epoch_time_std"] = float(np.std(times))
@@ -368,16 +383,17 @@ def cmd_gradcheck(args: argparse.Namespace, cfg: dict) -> int:
 
     report = grad_check(
         closure,
-        weights.named_arrays(),
+        weights.theta,
         tolerance=args.tolerance,
         step=args.step,
         samples=args.samples,
         rng=np.random.default_rng([cfg["seed"], 3]),
     )
     status = "OK" if report.passed else "FAIL"
+    worst = weights.locate(report.worst_index) if report.worst_index >= 0 else "none"
     print(
         f"gradcheck: {status} max relative error {report.max_rel_error:.3e} "
-        f"(worst {report.worst_param}) over {report.checked} sampled parameters, "
+        f"(worst {worst}) over {report.checked} sampled parameters, "
         f"tolerance {report.tolerance:g}"
     )
     return EXIT_OK if report.passed else EXIT_NUMERIC

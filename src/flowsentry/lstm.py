@@ -4,169 +4,130 @@ Gated-cell forward pass, backpropagation through time, the shared
 per-timestep dense projection, inverted dropout, Adam, and a
 finite-difference gradient checker. Everything runs at float64.
 
-Weight layout: each gate matrix acts on the concatenation [h_prev, x], so
-``w_g`` has shape (units, units + input_dim) and ``b_g`` shape (units,).
+Weight layout: the four gates of a layer are stacked in one matrix ``w`` of
+shape (units + input_dim, 4 * units) acting on the row vector [h_prev, x],
+and one bias ``b`` of shape (4 * units,). Column blocks are ordered
+[f, i, o, g], so the three sigmoid gates are contiguous. The input rows
+``w[units:]`` are applied to the whole sequence in one product before the
+time loop; only the recurrent rows ``w[:units]`` are applied per step.
 Layer functions accept one sequence (t, d) or a batch (b, t, d); gradients
 mirror the input shapes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
 
-GATE_NAMES = ("f", "i", "c", "o")
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function in tanh form, 0.5 * (1 + tanh(x / 2)); cannot overflow."""
+    if out is None:
+        out = np.empty(np.shape(x))
+    np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
 @dataclass
-class LstmCellParams:
-    """Weights and biases for the four gates (forget, input, candidate, output)."""
+class LstmParams:
+    """Stacked gate weights ``w`` (units + input_dim, 4*units) and bias ``b`` (4*units,)."""
 
-    w_f: np.ndarray
-    b_f: np.ndarray
-    w_i: np.ndarray
-    b_i: np.ndarray
-    w_c: np.ndarray
-    b_c: np.ndarray
-    w_o: np.ndarray
-    b_o: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        for name, arr in self.named_arrays():
-            setattr(self, name, np.asarray(arr, dtype=float))
-        units = self.b_f.shape[0]
-        width = self.w_f.shape
-        for g in GATE_NAMES:
-            w, b = getattr(self, f"w_{g}"), getattr(self, f"b_{g}")
-            if w.shape != width or b.shape != (units,):
-                raise ShapeError("all four gates must share weight/bias dimensions")
-        if width[0] != units or width[1] <= units:
+        self.w = np.asarray(self.w, dtype=float)
+        self.b = np.asarray(self.b, dtype=float)
+        units = self.b.shape[0] // 4
+        if self.b.shape != (4 * units,) or units < 1:
+            raise ShapeError(f"gate bias must have shape (4 * units,), got {self.b.shape}")
+        if self.w.ndim != 2 or self.w.shape[1] != 4 * units or self.w.shape[0] <= units:
             raise ShapeError(
-                f"gate weights must have shape (units, units + input_dim), got {width}"
+                f"gate weights must have shape (units + input_dim, 4 * units), got {self.w.shape}"
             )
 
     @property
     def units(self) -> int:
-        return self.b_f.shape[0]
+        return self.b.shape[0] // 4
 
     @property
     def input_dim(self) -> int:
-        return self.w_f.shape[1] - self.units
-
-    def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [(n, getattr(self, n)) for g in GATE_NAMES for n in (f"w_{g}", f"b_{g}")]
+        return self.w.shape[0] - self.units
 
     @classmethod
-    def zeros(cls, units: int, input_dim: int) -> "LstmCellParams":
-        width = units + input_dim
-        return cls(*(arr for _ in GATE_NAMES for arr in (np.zeros((units, width)), np.zeros(units))))
+    def zeros(cls, units: int, input_dim: int) -> "LstmParams":
+        return cls(np.zeros((units + input_dim, 4 * units)), np.zeros(4 * units))
 
     @classmethod
-    def glorot(cls, units: int, input_dim: int, rng: np.random.Generator) -> "LstmCellParams":
-        """Uniform Glorot gate weights (fan_in = units+input_dim, fan_out = units), zero biases."""
-        width = units + input_dim
-        limit = np.sqrt(6.0 / (width + units))
-        arrays = []
-        for _ in GATE_NAMES:
-            arrays.append(rng.uniform(-limit, limit, size=(units, width)))
-            arrays.append(np.zeros(units))
-        return cls(*arrays)
+    def glorot(cls, units: int, input_dim: int, rng: np.random.Generator) -> "LstmParams":
+        """Uniform Glorot gate weights (fan_in = units+input_dim, fan_out = units), zero biases.
+
+        Each gate is drawn as a (units, units + input_dim) block acting on
+        [h, x], in the order f, i, g, o: the order of the per-gate model
+        file, so a seed builds the same model whatever the stacking.
+        """
+        params = cls.zeros(units, input_dim)
+        limit = np.sqrt(6.0 / (units + input_dim + units))
+        for block in (0, 1, 3, 2):
+            cols = slice(block * units, (block + 1) * units)
+            params.w[:, cols] = rng.uniform(-limit, limit, size=(units, units + input_dim)).T
+        return params
 
 
-@dataclass
-class LstmState:
-    """Hidden and cell state; zeros at the start of every sequence."""
+class LayerCache(NamedTuple):
+    """One layer's forward activations, laid out (time, feature, batch) for the backward pass."""
 
-    hidden: np.ndarray  # (..., units)
-    cell: np.ndarray  # (..., units)
-
-    @classmethod
-    def zeros(cls, units: int, batch: int | None = None) -> "LstmState":
-        shape = (units,) if batch is None else (batch, units)
-        return cls(np.zeros(shape), np.zeros(shape))
-
-
-class CellStep(NamedTuple):
-    """Per-timestep activations kept for the backward pass."""
-
-    x: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    f: np.ndarray
-    i: np.ndarray
-    g: np.ndarray  # candidate cell value (tanh gate)
-    c: np.ndarray
-    o: np.ndarray
-    tc: np.ndarray  # tanh(c)
-
-
-@dataclass
-class GateCache:
-    """One CellStep per processed timestep, plus layer bookkeeping."""
-
-    steps: list[CellStep] = field(default_factory=list)
-    return_sequences: bool = False
-    squeeze: bool = False  # input arrived as a single (t, d) sequence
+    x: np.ndarray  # (b, t, d) input, or (b, 1, d) when every step saw the same input
+    hs: np.ndarray  # (t+1, u, b) hidden states, hs[0] = 0
+    cs: np.ndarray  # (t+1, u, b) cell states, cs[0] = 0
+    gates: np.ndarray  # (t, 4u, b) activations [f, i, o, g]
+    return_sequences: bool
+    squeeze: bool  # input arrived as a single (t, d) sequence
 
 
 def lstm_cell_forward(
-    params: LstmCellParams, state: LstmState, x: np.ndarray
-) -> tuple[LstmState, CellStep]:
-    """One gated-cell step.
+    params: LstmParams, z: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
+    h: np.ndarray, c: np.ndarray, tc: np.ndarray,
+) -> None:
+    """One gated-cell step, written into buffers; batch runs along the last axis.
 
-    f = sigmoid(w_f [h,x] + b_f)      i = sigmoid(w_i [h,x] + b_i)
-    g = tanh(w_c [h,x] + b_c)         c' = f*c + i*g
-    o = sigmoid(w_o [h,x] + b_o)      h' = o*tanh(c')
+    z: (4*units, ...) input pre-activation w[units:].T @ x + b of this step;
+    it is overwritten with the gate activations [f, i, o, g].
+    h_prev, c_prev: (units, ...) state going in; h, c, tc receive the new
+    hidden state, cell state and tanh(cell state).
 
-    x: (input_dim,) or (b, input_dim); state arrays shaped (..., units) to match.
+    [f i o] = sigmoid(z + w[:units].T @ h_prev)    g = tanh(...)
+    c = f*c_prev + i*g                             h = o*tanh(c)
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != params.input_dim:
-        raise ShapeError(
-            f"input has {x.shape[-1]} feature(s), cell expects {params.input_dim}"
-        )
-    if state.hidden.shape[-1] != params.units or state.hidden.shape != state.cell.shape:
-        raise ShapeError("state arrays do not match the cell's unit count")
-    if x.shape[:-1] != state.hidden.shape[:-1]:
-        raise ShapeError("input and state batch dimensions disagree")
-    if not np.isfinite(x).all():
-        raise NumericError("non-finite value in cell input")
-
-    cat = np.concatenate([state.hidden, x], axis=-1)
-    f = sigmoid(cat @ params.w_f.T + params.b_f)
-    i = sigmoid(cat @ params.w_i.T + params.b_i)
-    g = np.tanh(cat @ params.w_c.T + params.b_c)
-    c = f * state.cell + i * g
-    o = sigmoid(cat @ params.w_o.T + params.b_o)
-    tc = np.tanh(c)
-    h = o * tc
-    step = CellStep(x=x, h_prev=state.hidden, c_prev=state.cell, f=f, i=i, g=g, c=c, o=o, tc=tc)
-    return LstmState(hidden=h, cell=c), step
+    u = h.shape[0]
+    z += params.w[:u].T @ h_prev
+    sigmoid(z[: 3 * u], out=z[: 3 * u])
+    g = z[3 * u :]
+    np.tanh(g, out=g)
+    np.multiply(z[:u], c_prev, out=c)
+    np.multiply(z[u : 2 * u], g, out=tc)
+    c += tc
+    np.tanh(c, out=tc)
+    np.multiply(z[2 * u : 3 * u], tc, out=h)
 
 
 def lstm_layer_forward(
-    params: LstmCellParams, seq: np.ndarray, return_sequences: bool = False
-) -> tuple[np.ndarray, GateCache]:
+    params: LstmParams, seq: np.ndarray, return_sequences: bool = False, *, keep_cache: bool = True
+) -> tuple[np.ndarray, LayerCache | None]:
     """Run the cell over a sequence from a zero state.
 
-    seq: (t, input_dim) or (b, t, input_dim).
+    seq: (t, input_dim) or (b, t, input_dim). An input repeated along time
+    (a stride-0 view, as the decoder receives) is projected once, not t times.
     Returns all hidden states (..., t, units) when return_sequences, else the
-    final hidden state (..., units), plus the cache for the backward pass.
+    final hidden state (..., units), plus the cache for the backward pass;
+    with keep_cache=False the states live in two-slot buffers and the cache
+    is None.
     """
     x = np.asarray(seq, dtype=float)
     squeeze = x.ndim == 2
@@ -178,38 +139,53 @@ def lstm_layer_forward(
         raise ShapeError(
             f"sequence has {x.shape[-1]} feature(s), layer expects {params.input_dim}"
         )
-    b, t, _ = x.shape
+    b, t, d = x.shape
     if t < 1:
         raise ShapeError("sequence must contain at least one timestep")
+    u = params.units
+    repeated = x.strides[1] == 0
+    xs = x[:, :1] if repeated else x
+    if not np.isfinite(xs).all():
+        raise NumericError("non-finite value in layer input")
 
-    state = LstmState.zeros(params.units, batch=b)
-    hs = np.empty((b, t, params.units))
-    cache = GateCache(return_sequences=return_sequences, squeeze=squeeze)
+    # the hoisted input projection, for all timesteps before the loop, as (n, 4u, b)
+    pre = np.matmul(params.w[u:].T, xs.transpose(1, 2, 0))
+    pre += params.b[:, None]
+    gates = np.empty((t if keep_cache else 1, 4 * u, b)) if repeated else pre
+    hs = np.empty((t + 1 if keep_cache or return_sequences else 2, u, b))
+    cs = np.empty((t + 1 if keep_cache else 2, u, b))
+    tc = np.empty((u, b))  # tanh(c) of the current step; the backward pass recomputes it
+    hs[0] = 0.0
+    cs[0] = 0.0
+    nh, nc = len(hs), len(cs)
     for j in range(t):
-        state, step = lstm_cell_forward(params, state, x[:, j])
-        hs[:, j] = state.hidden
-        cache.steps.append(step)
-    out = hs if return_sequences else hs[:, -1]
+        z = gates[j % len(gates)]
+        if repeated:
+            z[...] = pre[0]
+        lstm_cell_forward(
+            params, z, hs[j % nh], cs[j % nc], hs[(j + 1) % nh], cs[(j + 1) % nc], tc
+        )
+    out = hs[1:].transpose(2, 0, 1) if return_sequences else hs[t % nh].T
     if squeeze:
         out = out[0]
+    cache = LayerCache(xs, hs, cs, gates, return_sequences, squeeze) if keep_cache else None
     return out, cache
 
 
 def lstm_layer_backward(
-    params: LstmCellParams, cache: GateCache, d_out: np.ndarray
-) -> tuple[LstmCellParams, np.ndarray]:
+    params: LstmParams, cache: LayerCache | None, d_out: np.ndarray, out: LstmParams | None = None
+) -> tuple[LstmParams, np.ndarray]:
     """Reverse-time accumulation of gradients through the cached forward pass.
 
     d_out matches the forward output: (..., t, units) when the forward
     returned sequences, else (..., units) applied at the final step.
-    Returns (parameter gradients, input-sequence gradients (..., t, input_dim)).
+    Returns (parameter gradients, input-sequence gradients (..., t, input_dim));
+    the parameter gradients overwrite `out` when it is given.
     """
-    if not cache.steps:
-        raise ShapeError("empty cache; run a forward pass first")
-    t = len(cache.steps)
-    b = cache.steps[0].f.shape[0]
-    u = params.units
-
+    if cache is None:
+        raise ShapeError("no cache; run a forward pass with keep_cache=True first")
+    t, _, b = cache.gates.shape
+    u, d = params.units, params.input_dim
     d_up = np.asarray(d_out, dtype=float)
     if cache.squeeze:
         d_up = d_up[None]
@@ -219,38 +195,50 @@ def lstm_layer_backward(
             f"upstream gradient has shape {d_up.shape}, cache expects {expected}"
         )
 
-    grads = LstmCellParams.zeros(u, params.input_dim)
-    d_x = np.empty((b, t, params.input_dim))
-    dh_next = np.zeros((b, u))
-    dc_next = np.zeros((b, u))
+    dz = np.empty((t, 4 * u, b))  # gate pre-activation gradients, [f, i, o, g]
+    w_h = params.w[:u]
+    dc = np.zeros((u, b))
+    if cache.return_sequences:
+        d_seq = d_up.transpose(1, 2, 0)
+        dh = np.zeros((u, b))
+    else:
+        dh = d_up.T.copy()  # written below; never a view of the caller's array
+    tmp, tc, ds = np.empty((u, b)), np.empty((u, b)), np.empty((3 * u, b))
     for j in reversed(range(t)):
-        s = cache.steps[j]
-        dh = dh_next.copy()
         if cache.return_sequences:
-            dh += d_up[:, j]
-        elif j == t - 1:
-            dh += d_up
-        dc = dc_next + dh * s.o * (1.0 - s.tc**2)
+            dh += d_seq[j]
+        a, dzj = cache.gates[j], dz[j]
+        i, o, g = a[u : 2 * u], a[2 * u : 3 * u], a[3 * u :]
+        np.tanh(cache.cs[j + 1], out=tc)
+        # dc = dc_next + dh * o * (1 - tanh(c)^2), where o * tanh(c) = h
+        np.multiply(cache.hs[j + 1], tc, out=tmp)
+        np.subtract(o, tmp, out=tmp)
+        tmp *= dh
+        dc += tmp
+        # d_f = dc*c_prev*f', d_i = dc*g*i', d_o = dh*tanh(c)*o' with s' = s(1-s)
+        np.multiply(dc, cache.cs[j], out=dzj[:u])
+        np.multiply(dc, g, out=dzj[u : 2 * u])
+        np.multiply(dh, tc, out=dzj[2 * u : 3 * u])
+        np.subtract(1.0, a[: 3 * u], out=ds)
+        ds *= a[: 3 * u]
+        dzj[: 3 * u] *= ds
+        # d_g = dc*i*(1 - g^2)
+        dg = dzj[3 * u :]
+        np.multiply(g, g, out=dg)
+        np.subtract(1.0, dg, out=dg)
+        dg *= i
+        dg *= dc
+        np.matmul(w_h, dzj, out=dh)
+        dc *= a[:u]
 
-        d_af = dc * s.c_prev * s.f * (1.0 - s.f)
-        d_ai = dc * s.g * s.i * (1.0 - s.i)
-        d_ac = dc * s.i * (1.0 - s.g**2)
-        d_ao = dh * s.tc * s.o * (1.0 - s.o)
-
-        cat = np.concatenate([s.h_prev, s.x], axis=-1)
-        grads.w_f += d_af.T @ cat
-        grads.b_f += d_af.sum(axis=0)
-        grads.w_i += d_ai.T @ cat
-        grads.b_i += d_ai.sum(axis=0)
-        grads.w_c += d_ac.T @ cat
-        grads.b_c += d_ac.sum(axis=0)
-        grads.w_o += d_ao.T @ cat
-        grads.b_o += d_ao.sum(axis=0)
-
-        d_cat = d_af @ params.w_f + d_ai @ params.w_i + d_ac @ params.w_c + d_ao @ params.w_o
-        dh_next = d_cat[:, :u]
-        d_x[:, j] = d_cat[:, u:]
-        dc_next = dc * s.f
+    # the weight-gradient GEMMs, once over all timesteps
+    grads = out if out is not None else LstmParams.zeros(u, d)
+    dz_b = dz.transpose(0, 2, 1)  # (t, b, 4u)
+    np.sum(np.matmul(cache.hs[:t], dz_b), axis=0, out=grads.w[:u])
+    dz_x = dz_b if cache.x.shape[1] == t else dz_b.sum(axis=0, keepdims=True)
+    np.sum(np.matmul(cache.x.transpose(1, 2, 0), dz_x), axis=0, out=grads.w[u:])
+    np.sum(dz, axis=(0, 2), out=grads.b)
+    d_x = np.matmul(dz_b, params.w[u:].T).transpose(1, 0, 2)
     if cache.squeeze:
         d_x = d_x[0]
     return grads, d_x
@@ -276,19 +264,21 @@ class DenseParams:
 
 
 def dense_forward(params: DenseParams, x: np.ndarray) -> np.ndarray:
-    """y = x @ W.T + b over the trailing axis; any leading shape."""
+    """y = x @ W.T + b over the trailing axis; any leading shape, one GEMM."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != params.weight.shape[1]:
-        raise ShapeError(
-            f"input has {x.shape[-1]} feature(s), dense expects {params.weight.shape[1]}"
-        )
-    return x @ params.weight.T + params.bias
+    out_dim, in_dim = params.weight.shape
+    if x.shape[-1] != in_dim:
+        raise ShapeError(f"input has {x.shape[-1]} feature(s), dense expects {in_dim}")
+    y = x.reshape(-1, in_dim) @ params.weight.T
+    y += params.bias
+    return y.reshape(x.shape[:-1] + (out_dim,))
 
 
 def dense_backward(
-    params: DenseParams, x: np.ndarray, d_out: np.ndarray
+    params: DenseParams, x: np.ndarray, d_out: np.ndarray, out: DenseParams | None = None
 ) -> tuple[DenseParams, np.ndarray]:
-    """Gradients of the affine map; d_out must match the forward output shape."""
+    """Gradients of the affine map; d_out must match the forward output shape.
+    The parameter gradients overwrite `out` when it is given."""
     x = np.asarray(x, dtype=float)
     d_out = np.asarray(d_out, dtype=float)
     out_dim, in_dim = params.weight.shape
@@ -296,12 +286,12 @@ def dense_backward(
         raise ShapeError(
             f"upstream gradient shape {d_out.shape} does not match input {x.shape}"
         )
-    flat_x = x.reshape(-1, in_dim)
+    grads = out if out is not None else DenseParams(np.empty((out_dim, in_dim)), np.empty(out_dim))
     flat_d = d_out.reshape(-1, out_dim)
-    d_w = flat_d.T @ flat_x
-    d_b = flat_d.sum(axis=0)
-    d_x = d_out @ params.weight
-    return DenseParams(d_w, d_b), d_x
+    np.matmul(flat_d.T, x.reshape(-1, in_dim), out=grads.weight)
+    np.sum(flat_d, axis=0, out=grads.bias)
+    d_x = (flat_d @ params.weight).reshape(x.shape)
+    return grads, d_x
 
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -313,61 +303,41 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def dropout(
-    x: np.ndarray, rate: float, mode: str = "train", rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """Train mode zeroes elements with probability `rate` and scales survivors
-    by 1/(1-rate); infer mode is the identity."""
-    if not 0 <= rate < 1:
-        raise ParameterError(f"dropout rate must be in [0,1), got {rate}")
-    if mode not in ("train", "infer"):
-        raise ParameterError(f"dropout mode must be 'train' or 'infer', got {mode!r}")
-    x = np.asarray(x, dtype=float)
-    if mode == "infer" or rate == 0:
-        return x
-    if rng is None:
-        raise ParameterError("train-mode dropout requires an rng")
-    return x * dropout_mask(x.shape, rate, rng)
-
-
 @dataclass
 class AdamState:
-    """First/second-moment accumulators congruent to the parameter set."""
+    """First/second-moment accumulators congruent to the parameter vector."""
 
     lr: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def adam_step(
-    params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState
-) -> tuple[dict[str, np.ndarray], AdamState]:
+    params: np.ndarray, grads: np.ndarray, state: AdamState
+) -> tuple[np.ndarray, AdamState]:
     """Standard Adam update with bias correction; parameters updated in place."""
-    if set(params) != set(grads):
-        raise ShapeError("parameter and gradient sets disagree")
+    if grads.shape != params.shape:
+        raise ShapeError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
     state.step += 1
     bc1 = 1.0 - state.beta1**state.step
     bc2 = 1.0 - state.beta2**state.step
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name}")
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m, v = state.m, state.v
+    m += (1.0 - state.beta1) * (grads - m)
+    v += (1.0 - state.beta2) * (grads * grads - v)
+    params -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
     return params, state
 
 
 @dataclass
 class GradCheckReport:
     max_rel_error: float
-    worst_param: str
+    worst_index: int  # flat index into the checked array, -1 if none
     checked: int
     tolerance: float
 
@@ -377,8 +347,8 @@ class GradCheckReport:
 
 
 def grad_check(
-    loss_and_grads: Callable[[], tuple[float, dict[str, np.ndarray]]],
-    params: dict[str, np.ndarray],
+    loss_and_grads: Callable[[], tuple[float, np.ndarray]],
+    params: np.ndarray,
     tolerance: float = 1e-5,
     *,
     step: float = 1e-5,
@@ -386,34 +356,31 @@ def grad_check(
     rng: np.random.Generator | None = None,
     floor: float = 1e-5,
 ) -> GradCheckReport:
-    """Central-difference check of analytic gradients on a random parameter subset.
+    """Central-difference check of analytic gradients on a random subset of `params`.
 
-    The closure must be deterministic (dropout disabled) and read the live
-    arrays in `params`, which are perturbed in place. Relative error uses
-    max(|analytic|, |numeric|, floor) as denominator; the floor keeps
-    float64 round-off in the difference quotient from dominating entries
-    whose true gradient is near zero.
+    The closure must be deterministic (dropout disabled), read the live
+    array `params`, which is perturbed in place, and return a gradient of
+    the same shape. Relative error uses max(|analytic|, |numeric|, floor)
+    as denominator; the floor keeps float64 round-off in the difference
+    quotient from dominating entries whose true gradient is near zero.
     """
     rng = rng or np.random.default_rng(0)
-    _, grads = loss_and_grads()
-    index = [(name, i) for name, arr in sorted(params.items()) for i in range(arr.size)]
-    k = min(samples, len(index))
-    picks = rng.choice(len(index), size=k, replace=False)
-    worst = 0.0
-    worst_param = ""
-    for sel in picks:
-        name, i = index[sel]
-        arr = params[name]
-        orig = arr.flat[i]
-        arr.flat[i] = orig + step
+    # copied: the closure may write every call's gradient into one buffer
+    grads = np.array(loss_and_grads()[1], dtype=float)
+    if grads.shape != params.shape:
+        raise ShapeError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
+    k = min(samples, params.size)
+    worst, worst_index = 0.0, -1
+    for i in rng.choice(params.size, size=k, replace=False):
+        orig = params.flat[i]
+        params.flat[i] = orig + step
         loss_plus, _ = loss_and_grads()
-        arr.flat[i] = orig - step
+        params.flat[i] = orig - step
         loss_minus, _ = loss_and_grads()
-        arr.flat[i] = orig
+        params.flat[i] = orig
         numeric = (loss_plus - loss_minus) / (2.0 * step)
-        analytic = grads[name].flat[i]
+        analytic = grads.flat[i]
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
         if rel > worst:
-            worst = rel
-            worst_param = f"{name}[{i}]"
-    return GradCheckReport(worst, worst_param, k, tolerance)
+            worst, worst_index = rel, int(i)
+    return GradCheckReport(worst, worst_index, k, tolerance)

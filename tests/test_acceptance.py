@@ -8,6 +8,8 @@ not to be loosened.
 
 import json
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -44,7 +46,7 @@ def test_criterion_1_gradient_correctness():
 
     result = grad_check(
         closure,
-        weights.named_arrays(),
+        weights.theta,
         tolerance=1e-5,
         step=1e-5,
         samples=256,
@@ -294,30 +296,28 @@ def test_criterion_6_threshold_semantics():
 # ---------------------------------------------------------------------------
 
 
+_FAST = ["--sigma", "0.5", "--amplitude", "0.5", "--period", "300"]
+PIPELINE = [
+    ["synth", "--benign", "400", "--attack", "100", "--seed", "7", "--out", "data", *_FAST],
+    ["preprocess", "--benign", "data/benign.csv", "--attacks", "data/attack.csv",
+     "--attack-frac", "1.0", "--seed", "7", "--out", "prep"],
+    ["train", "--input", "prep/train.csv", "--scaler", "prep/scaler.json", "--epochs", "8",
+     "--seed", "7", "--out", "model.json"],
+    ["calibrate", "--model", "model.json", "--scaler", "prep/scaler.json",
+     "--input", "prep/train.csv", "--seed", "7", "--out", "th.json"],
+    ["detect", "--model", "model.json", "--thresholds", "th.json",
+     "--input", "prep/test.csv", "--seed", "7", "--out", "verdicts.csv"],
+    ["evaluate", "--verdicts", "verdicts.csv", "--seed", "7", "--out", "report.json"],
+]
+PIPELINE_OUTPUTS = ("model.json", "th.json", "verdicts.csv", "report.json")
+
+
 def _pipeline_files(root: Path, monkeypatch) -> dict[str, bytes]:
     root.mkdir(parents=True, exist_ok=True)
     monkeypatch.chdir(root)
-    args = [
-        "--sigma", "0.5", "--amplitude", "0.5", "--period", "300",
-    ]
-    assert cli_main(["synth", "--benign", "400", "--attack", "100",
-                     "--seed", "7", "--out", "data", *args]) == 0
-    assert cli_main(["preprocess", "--benign", "data/benign.csv",
-                     "--attacks", "data/attack.csv", "--attack-frac", "1.0",
-                     "--seed", "7", "--out", "prep"]) == 0
-    assert cli_main(["train", "--input", "prep/train.csv",
-                     "--scaler", "prep/scaler.json", "--epochs", "8",
-                     "--seed", "7", "--out", "model.json"]) == 0
-    assert cli_main(["calibrate", "--model", "model.json",
-                     "--scaler", "prep/scaler.json", "--input", "prep/train.csv",
-                     "--seed", "7", "--out", "th.json"]) == 0
-    assert cli_main(["detect", "--model", "model.json", "--thresholds", "th.json",
-                     "--input", "prep/test.csv", "--seed", "7",
-                     "--out", "verdicts.csv"]) == 0
-    assert cli_main(["evaluate", "--verdicts", "verdicts.csv", "--seed", "7",
-                     "--out", "report.json"]) == 0
-    names = ("model.json", "th.json", "verdicts.csv", "report.json")
-    return {name: (root / name).read_bytes() for name in names}
+    for argv in PIPELINE:
+        assert cli_main(argv) == 0
+    return {name: (root / name).read_bytes() for name in PIPELINE_OUTPUTS}
 
 
 def test_criterion_7_determinism(tmp_path, monkeypatch):
@@ -333,6 +333,38 @@ def test_criterion_7_determinism(tmp_path, monkeypatch):
         "determinism",
         ok,
         f"byte-identical: {', '.join(identical) or 'none'}; {wall:.0f}s <= 600s",
+    )
+
+
+_PIPELINE_DRIVER = (
+    "import json, sys\n"
+    "from flowsentry.cli import main\n"
+    "sys.exit(0 if all(main(argv) == 0 for argv in json.loads(sys.argv[1])) else 1)\n"
+)
+
+
+def test_criterion_7_determinism_across_blas_threads(tmp_path):
+    # the same pipeline in fresh interpreters whose OpenBLAS runs 1 or 2
+    # threads must write the same bytes
+    tic = time.perf_counter()
+    src = Path(autoencoder.__file__).resolve().parent.parent
+    files = {}
+    for threads in ("1", "2"):
+        root = tmp_path / f"threads{threads}"
+        root.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, SOURCE_DATE_EPOCH="1700000000",
+                   PYTHONPATH=str(src))
+        subprocess.run([sys.executable, "-c", _PIPELINE_DRIVER, json.dumps(PIPELINE)],
+                       cwd=root, env=env, check=True, capture_output=True, timeout=600)
+        files[threads] = {name: (root / name).read_bytes() for name in PIPELINE_OUTPUTS}
+    wall = time.perf_counter() - tic
+    identical = [name for name in PIPELINE_OUTPUTS if files["1"][name] == files["2"][name]]
+    ok = identical == list(PIPELINE_OUTPUTS) and wall <= 600
+    report(
+        7,
+        "determinism-across-blas-threads",
+        ok,
+        f"byte-identical at 1 and 2 threads: {', '.join(identical) or 'none'}; {wall:.0f}s <= 600s",
     )
 
 

@@ -1,7 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowsentry.autoencoder import (
     ModelConfig,
@@ -22,13 +25,14 @@ from flowsentry.errors import (
 )
 from flowsentry.lstm import (
     DenseParams,
-    LstmCellParams,
-    LstmState,
+    LstmParams,
     dense_forward,
     grad_check,
     lstm_cell_forward,
 )
 from flowsentry.windowing import WindowConfig, make_windows
+
+DATA = Path(__file__).parent / "data"
 
 
 def tiny_config(**overrides):
@@ -41,27 +45,27 @@ def tiny_config(**overrides):
 class TestBuild:
     def test_default_shapes(self):
         w = build(ModelConfig())
-        assert w.encoder.w_f.shape == (16, 21)
-        assert w.decoder.w_f.shape == (16, 32)
+        assert w.encoder.w.shape == (21, 64) and w.encoder.b.shape == (64,)
+        assert w.decoder.w.shape == (32, 64) and w.decoder.b.shape == (64,)
         assert w.projection.weight.shape == (5, 16)
         assert w.projection.bias.shape == (5,)
+        assert w.theta.shape == (21 * 64 + 64 + 32 * 64 + 64 + 5 * 16 + 5,)
 
     def test_minimal_config(self):
         w = build(ModelConfig(timesteps=1, features=1, units=1))
-        assert w.encoder.w_f.shape == (1, 2)
-        assert w.decoder.w_f.shape == (1, 2)
+        assert w.encoder.w.shape == (2, 4)
+        assert w.decoder.w.shape == (2, 4)
         assert w.projection.weight.shape == (1, 1)
 
     def test_same_seed_identical_weights(self):
         a = build(ModelConfig(seed=9))
         b = build(ModelConfig(seed=9))
-        for (_, x), (_, y) in zip(a.named_arrays().items(), b.named_arrays().items()):
-            assert np.array_equal(x, y)
+        assert np.array_equal(a.theta, b.theta)
 
     def test_different_seed_differs(self):
         a = build(ModelConfig(seed=1))
         b = build(ModelConfig(seed=2))
-        assert not np.array_equal(a.encoder.w_f, b.encoder.w_f)
+        assert not np.array_equal(a.encoder.w, b.encoder.w)
 
     def test_invalid_config(self):
         with pytest.raises(ParameterError):
@@ -71,13 +75,50 @@ class TestBuild:
         with pytest.raises(ParameterError):
             ModelConfig(learning_rate=0.0)
 
+    def test_every_array_is_a_view_into_theta(self):
+        w = build(tiny_config())
+        arrays = (w.encoder.w, w.encoder.b, w.decoder.w, w.decoder.b,
+                  w.projection.weight, w.projection.bias)
+        assert sum(a.size for a in arrays) == w.theta.size
+        for a in arrays:
+            assert a.base is w.theta or a.base is w.theta.base
+            assert np.shares_memory(a, w.theta)
+        w.theta[:] = 0.0
+        assert all(not a.any() for a in arrays)
+
+    def test_gates_drawn_in_per_gate_order(self):
+        # independent oracle: the same rng stream drawn gate by gate as
+        # (units, units + input_dim) blocks in the order f, i, candidate, o
+        cfg = tiny_config()
+        w = build(cfg, seed=4)
+        rng = np.random.default_rng([4, 0])
+        u = cfg.units
+        for layer, width in ((w.encoder, u + cfg.features), (w.decoder, 2 * u)):
+            limit = np.sqrt(6.0 / (width + u))
+            for block in (0, 1, 3, 2):  # stacked column order is [f, i, o, g]
+                expected = rng.uniform(-limit, limit, size=(u, width))
+                assert np.array_equal(layer.w[:, block * u:(block + 1) * u].T, expected)
+            assert not layer.b.any()
+        limit = np.sqrt(6.0 / (u + cfg.features))
+        assert np.array_equal(w.projection.weight,
+                              rng.uniform(-limit, limit, size=(cfg.features, u)))
+
+    def test_locate_names_an_entry(self):
+        w = build(tiny_config())  # encoder.w is (8, 20), encoder.b (20,)
+        assert w.locate(0) == "encoder.w[0, 0]"
+        assert w.locate(21) == "encoder.w[1, 1]"
+        assert w.locate(160) == "encoder.b[0]"
+        assert w.locate(w.theta.size - 1) == "projection.bias[2]"
+        with pytest.raises(IndexError):
+            w.locate(w.theta.size)
+
 
 class TestForward:
     def test_zero_weights_reconstruct_zero(self):
         cfg = tiny_config()
-        w = ModelWeights(
-            encoder=LstmCellParams.zeros(cfg.units, cfg.features),
-            decoder=LstmCellParams.zeros(cfg.units, cfg.units),
+        w = ModelWeights.from_parts(
+            encoder=LstmParams.zeros(cfg.units, cfg.features),
+            decoder=LstmParams.zeros(cfg.units, cfg.units),
             projection=DenseParams(np.zeros((cfg.features, cfg.units)), np.zeros(cfg.features)),
             config=cfg,
         )
@@ -95,16 +136,23 @@ class TestForward:
         cfg = tiny_config(seed=7)
         w = build(cfg, seed=7)
         x = np.random.default_rng(7).uniform(size=(1, cfg.timesteps, cfg.features))
+        u = cfg.units
 
-        state = LstmState.zeros(cfg.units)
+        def step(params, h, c, x_j):
+            z = x_j @ params.w[u:] + params.b
+            h_new, c_new, tc = np.empty(u), np.empty(u), np.empty(u)
+            lstm_cell_forward(params, z, h, c, h_new, c_new, tc)
+            return h_new, c_new
+
+        h, c = np.zeros(u), np.zeros(u)
         for j in range(cfg.timesteps):
-            state, _ = lstm_cell_forward(w.encoder, state, x[0, j])
-        bottleneck = state.hidden
-        dec_state = LstmState.zeros(cfg.units)
+            h, c = step(w.encoder, h, c, x[0, j])
+        bottleneck = h
+        h, c = np.zeros(u), np.zeros(u)
         expected = np.empty((cfg.timesteps, cfg.features))
         for j in range(cfg.timesteps):
-            dec_state, _ = lstm_cell_forward(w.decoder, dec_state, bottleneck)
-            expected[j] = dense_forward(w.projection, dec_state.hidden)
+            h, c = step(w.decoder, h, c, bottleneck)
+            expected[j] = dense_forward(w.projection, h)
 
         out = forward(w, x, mode="infer")
         assert np.allclose(out[0], expected, atol=1e-12)
@@ -161,11 +209,10 @@ class TestTrain:
     def test_zero_epochs_leaves_weights(self):
         cfg = tiny_config(epochs=0)
         w = build(cfg)
-        before = {k: v.copy() for k, v in w.named_arrays().items()}
+        before = w.theta.copy()
         w, report = train(w, training_windows(cfg))
         assert report.train_loss == []
-        for k, v in w.named_arrays().items():
-            assert np.array_equal(v, before[k])
+        assert np.array_equal(w.theta, before)
 
     def test_same_seed_identical_loss_curves(self):
         cfg = tiny_config(epochs=4, dropout=0.2)
@@ -220,11 +267,7 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save(w, path)
         loaded = load(path)
-        for (ka, va), (kb, vb) in zip(
-            w.named_arrays().items(), loaded.named_arrays().items()
-        ):
-            assert ka == kb
-            assert np.array_equal(va, vb)
+        assert np.array_equal(w.theta, loaded.theta)
         assert loaded.config == w.config
 
     def test_save_is_deterministic(self, tmp_path):
@@ -249,6 +292,25 @@ class TestPersistence:
         with pytest.raises(ModelFormatError):
             load(path)
 
+    def test_file_from_per_gate_kernel_loads_and_scores(self, tmp_path):
+        # model_v1.json was written by the per-gate kernel that preceded the
+        # stacked layout, with the reconstruction it computed for `x`
+        ref = json.loads((DATA / "model_v1_recon.json").read_text())
+        w = load(DATA / "model_v1.json")
+        recon = forward(w, np.array(ref["x"]))
+        assert np.allclose(recon, np.array(ref["recon"]), rtol=0, atol=1e-12)
+        save(w, tmp_path / "again.json")  # v1 on disk is unchanged
+        assert (tmp_path / "again.json").read_bytes() == (DATA / "model_v1.json").read_bytes()
+
+    def test_inconsistent_gate_shapes_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save(build(tiny_config()), path)
+        doc = json.loads(path.read_text())
+        doc["encoder"]["w_o"] = doc["encoder"]["w_o"][:-1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ShapeError):
+            load(path)
+
 
 class TestEndToEndGradients:
     def test_composed_model_passes_grad_check(self):
@@ -260,6 +322,45 @@ class TestEndToEndGradients:
             return loss_and_gradients(w, x, mode="infer")
 
         report = grad_check(
-            closure, w.named_arrays(), samples=120, rng=np.random.default_rng(23)
+            closure, w.theta, samples=120, rng=np.random.default_rng(23)
         )
         assert report.passed, f"max rel error {report.max_rel_error:.2e}"
+
+    @given(
+        b=st.integers(1, 4), t=st.integers(1, 4), u=st.integers(1, 4), d=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    @example(b=1, t=1, u=1, d=1, seed=0)
+    @example(b=4, t=4, u=4, d=4, seed=1)
+    @example(b=1, t=4, u=1, d=4, seed=2)
+    @example(b=4, t=1, u=4, d=1, seed=3)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_grad_check_sweep_over_small_shapes(self, b, t, u, d, seed):
+        cfg = ModelConfig(timesteps=t, features=d, units=u, dropout=0.0, seed=seed)
+        w = build(cfg)
+        x = np.random.default_rng(seed).uniform(size=(b, t, d))
+
+        def closure():
+            return loss_and_gradients(w, x, mode="infer")
+
+        # every parameter is checked: at most 308 of them at u = d = 4
+        report = grad_check(closure, w.theta, samples=w.theta.size,
+                            rng=np.random.default_rng(seed))
+        assert report.checked == w.theta.size
+        assert report.max_rel_error <= 1e-5, (
+            f"{report.max_rel_error:.2e} at {w.locate(report.worst_index)}"
+        )
+
+    def test_reused_gradient_buffer_matches_fresh_computation(self):
+        cfg = tiny_config(seed=24, dropout=0.2)
+        w = build(cfg)
+        rng = np.random.default_rng(25)
+        x1 = rng.uniform(size=(3, cfg.timesteps, cfg.features))
+        x2 = rng.uniform(size=(5, cfg.timesteps, cfg.features))
+        buf = np.full_like(w.theta, np.nan)
+        loss_and_gradients(w, x1, "train", np.random.default_rng(26), out=buf)
+        loss, grad = loss_and_gradients(w, x2, "train", np.random.default_rng(27), out=buf)
+        fresh_loss, fresh = loss_and_gradients(w, x2, "train", np.random.default_rng(27))
+        assert grad is buf
+        assert loss == fresh_loss
+        assert np.array_equal(buf, fresh)

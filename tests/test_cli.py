@@ -211,3 +211,25 @@ class TestExitCodes:
         assert run("synth", "--benign", 5, "--attack", 2, "--out", data, *FAST) == 0
         assert run("train", "--input", data / "benign.csv", "--window", 10,
                    "--out", tmp_path / "m.json") == 3
+
+    @pytest.mark.parametrize("content", [
+        b'{"train_loss": [0.1',  # truncated JSON
+        b"\xff\xfe not utf-8",
+        b"[1, 2, 3]",  # valid JSON, not an object
+        b'{"epoch_seconds": "fast"}',
+        None,  # a directory: unreadable as a file
+    ], ids=["truncated", "not-utf8", "not-an-object", "bad-epoch-seconds", "directory"])
+    def test_corrupt_or_unreadable_history_is_a_data_error(self, tmp_path, capsys, content):
+        verdicts = tmp_path / "v.csv"
+        verdicts.write_text("row_index,score,verdict,label\n0,0.1,0,0\n1,0.9,1,1\n")
+        history = tmp_path / "bad.json"
+        if content is None:
+            history.mkdir()
+        else:
+            history.write_bytes(content)
+        capsys.readouterr()
+        assert run("evaluate", "--verdicts", verdicts, "--out", tmp_path / "r.json",
+                   "--history", history) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert not (tmp_path / "r.json").exists()

@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowsentry import autoencoder
 from flowsentry.errors import NumericError, ParameterError, ShapeError
 from flowsentry.lstm import (
     AdamState,
     DenseParams,
     GradCheckReport,
-    LstmCellParams,
-    LstmState,
+    LstmParams,
     adam_step,
     dense_backward,
     dense_forward,
-    dropout,
+    dropout_mask,
     grad_check,
     lstm_cell_forward,
     lstm_layer_backward,
@@ -24,32 +24,44 @@ from flowsentry.lstm import (
 )
 
 # ---------------------------------------------------------------------------
-# Independent naive oracle: pure-python, loop-based gated cell. Kept separate
-# from the numpy implementation on purpose.
+# Independent naive oracle: pure-python, loop-based gated cell over per-gate
+# (units, units + input_dim) matrices acting on [h, x]. Kept separate from
+# the numpy implementation on purpose.
 # ---------------------------------------------------------------------------
+
+
+GATES = ("f", "i", "o", "g")  # column-block order of LstmParams.w
 
 
 def _sig(v):
     return 1.0 / (1.0 + math.exp(-v))
 
 
+def gate(params, name):
+    """Per-gate weight (units, units + input_dim) and bias (units,) of a stacked layer."""
+    u = params.units
+    k = GATES.index(name)
+    return params.w[:, k * u : (k + 1) * u].T, params.b[k * u : (k + 1) * u]
+
+
 def naive_cell(params, h_prev, c_prev, x):
     cat = list(h_prev) + list(x)
 
-    def act(w, b, fn):
+    def act(name, fn):
+        w, b = gate(params, name)
         return [fn(sum(wi * ci for wi, ci in zip(w[u], cat)) + b[u]) for u in range(len(b))]
 
-    f = act(params.w_f, params.b_f, _sig)
-    i = act(params.w_i, params.b_i, _sig)
-    g = act(params.w_c, params.b_c, math.tanh)
+    f = act("f", _sig)
+    i = act("i", _sig)
+    g = act("g", math.tanh)
     c = [fu * cu + iu * gu for fu, cu, iu, gu in zip(f, c_prev, i, g)]
-    o = act(params.w_o, params.b_o, _sig)
+    o = act("o", _sig)
     h = [ou * math.tanh(cu) for ou, cu in zip(o, c)]
     return h, c
 
 
 def naive_layer(params, seq):
-    units = len(params.b_f)
+    units = params.units
     h, c = [0.0] * units, [0.0] * units
     outputs = []
     for x in seq:
@@ -58,76 +70,88 @@ def naive_layer(params, seq):
     return outputs
 
 
+def cell_step(params, h_prev, c_prev, x):
+    """One unbatched step through lstm_cell_forward; returns h, c, tanh(c), gates by name."""
+    u = params.units
+    z = np.asarray(x, dtype=float) @ params.w[u:] + params.b
+    h, c, tc = np.empty(u), np.empty(u), np.empty(u)
+    lstm_cell_forward(params, z, np.asarray(h_prev, float), np.asarray(c_prev, float), h, c, tc)
+    return h, c, tc, dict(zip(GATES, z.reshape(4, u)))
+
+
 def random_cell(units, input_dim, seed):
     rng = np.random.default_rng(seed)
-    return LstmCellParams.glorot(units, input_dim, rng)
+    return LstmParams.glorot(units, input_dim, rng)
 
 
 class TestCellForward:
     def test_zero_weights_zero_cell(self):
-        p = LstmCellParams.zeros(3, 2)
-        state, step = lstm_cell_forward(p, LstmState.zeros(3), np.zeros(2))
-        assert np.allclose(step.f, 0.5) and np.allclose(step.i, 0.5) and np.allclose(step.o, 0.5)
-        assert np.allclose(step.g, 0.0)
-        assert np.allclose(state.cell, 0.0) and np.allclose(state.hidden, 0.0)
+        p = LstmParams.zeros(3, 2)
+        h, c, _, gates = cell_step(p, np.zeros(3), np.zeros(3), np.zeros(2))
+        assert np.allclose(gates["f"], 0.5) and np.allclose(gates["i"], 0.5)
+        assert np.allclose(gates["o"], 0.5)
+        assert np.allclose(gates["g"], 0.0)
+        assert np.allclose(c, 0.0) and np.allclose(h, 0.0)
 
     def test_zero_weights_unit_cell(self):
-        p = LstmCellParams.zeros(1, 1)
-        state, _ = lstm_cell_forward(p, LstmState(np.zeros(1), np.ones(1)), np.zeros(1))
-        assert state.cell[0] == pytest.approx(0.5, abs=1e-12)
-        assert state.hidden[0] == pytest.approx(0.5 * math.tanh(0.5), abs=1e-12)
+        p = LstmParams.zeros(1, 1)
+        h, c, _, _ = cell_step(p, np.zeros(1), np.ones(1), np.zeros(1))
+        assert c[0] == pytest.approx(0.5, abs=1e-12)
+        assert h[0] == pytest.approx(0.5 * math.tanh(0.5), abs=1e-12)
 
     def test_scalar_all_ones_case_matches_oracle(self):
-        ones = np.ones((1, 2))
-        p = LstmCellParams(
-            ones, np.zeros(1), ones, np.zeros(1), ones.copy(), np.zeros(1), ones.copy(), np.zeros(1)
-        )
-        state, _ = lstm_cell_forward(p, LstmState.zeros(1), np.ones(1))
+        p = LstmParams(np.ones((2, 4)), np.zeros(4))
+        h, c, _, _ = cell_step(p, np.zeros(1), np.zeros(1), np.ones(1))
         s1, t1 = _sig(1.0), math.tanh(1.0)
         expect_c = s1 * 0.0 + s1 * t1
-        assert state.cell[0] == pytest.approx(expect_c, abs=1e-12)
-        assert state.hidden[0] == pytest.approx(s1 * math.tanh(expect_c), abs=1e-12)
+        assert c[0] == pytest.approx(expect_c, abs=1e-12)
+        assert h[0] == pytest.approx(s1 * math.tanh(expect_c), abs=1e-12)
 
     def test_dimension_mismatch(self):
-        p = LstmCellParams.zeros(3, 2)
+        # shapes are checked once per layer, and when the stacked weights are built
+        p = LstmParams.zeros(3, 2)
         with pytest.raises(ShapeError):
-            lstm_cell_forward(p, LstmState.zeros(3), np.zeros(4))
+            lstm_layer_forward(p, np.zeros((1, 4)))
         with pytest.raises(ShapeError):
-            lstm_cell_forward(p, LstmState.zeros(2), np.zeros(2))
+            lstm_layer_forward(p, np.zeros(2))
+        with pytest.raises(ShapeError):
+            LstmParams(np.zeros((5, 12)), np.zeros(8))
+        with pytest.raises(ShapeError):
+            LstmParams(np.zeros((3, 12)), np.zeros(12))
 
     def test_non_finite_input(self):
-        p = LstmCellParams.zeros(2, 2)
+        p = LstmParams.zeros(2, 2)
         with pytest.raises(NumericError):
-            lstm_cell_forward(p, LstmState.zeros(2), np.array([1.0, np.nan]))
+            lstm_layer_forward(p, np.array([[1.0, np.nan]]))
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_gate_ranges(self, seed):
         rng = np.random.default_rng(seed)
-        p = LstmCellParams.glorot(4, 3, rng)
-        state = LstmState(rng.normal(size=4), rng.normal(size=4))
-        _, step = lstm_cell_forward(p, state, rng.normal(size=3))
-        for gate in (step.f, step.i, step.o):
-            assert np.all(gate > 0) and np.all(gate < 1)
-        assert np.all(np.abs(step.g) < 1)
-        assert np.all(np.abs(step.tc) < 1)
+        p = LstmParams.glorot(4, 3, rng)
+        _, _, tc, gates = cell_step(p, rng.normal(size=4), rng.normal(size=4), rng.normal(size=3))
+        for name in ("f", "i", "o"):
+            assert np.all(gates[name] > 0) and np.all(gates[name] < 1)
+        assert np.all(np.abs(gates["g"]) < 1)
+        assert np.all(np.abs(tc) < 1)
 
     def test_gate_ranges_survive_extreme_inputs(self):
         # float64 saturates sigmoid/tanh at the interval endpoints; values
         # must stay inside the closed interval and finite
         rng = np.random.default_rng(0)
-        p = LstmCellParams.glorot(4, 3, rng)
-        state = LstmState(rng.normal(size=4), rng.normal(size=4))
-        _, step = lstm_cell_forward(p, state, np.array([1e6, -1e6, 1e3]))
-        for gate in (step.f, step.i, step.o):
-            assert np.all(gate >= 0) and np.all(gate <= 1)
-        assert np.all(np.abs(step.g) <= 1)
-        assert np.all(np.isfinite(step.c))
+        p = LstmParams.glorot(4, 3, rng)
+        _, c, _, gates = cell_step(
+            p, rng.normal(size=4), rng.normal(size=4), np.array([1e6, -1e6, 1e3])
+        )
+        for name in ("f", "i", "o"):
+            assert np.all(gates[name] >= 0) and np.all(gates[name] <= 1)
+        assert np.all(np.abs(gates["g"]) <= 1)
+        assert np.all(np.isfinite(c))
 
 
 class TestLayerForward:
     def test_zero_weights_any_sequence(self):
-        p = LstmCellParams.zeros(4, 3)
+        p = LstmParams.zeros(4, 3)
         out, _ = lstm_layer_forward(p, np.random.default_rng(0).normal(size=(6, 3)), True)
         assert np.allclose(out, 0.0)
 
@@ -135,8 +159,8 @@ class TestLayerForward:
         p = random_cell(3, 2, seed=10)
         x = np.array([[0.3, -0.7]])
         out, _ = lstm_layer_forward(p, x, return_sequences=False)
-        state, _ = lstm_cell_forward(p, LstmState.zeros(3), x[0])
-        assert np.allclose(out, state.hidden)
+        h, _, _, _ = cell_step(p, np.zeros(3), np.zeros(3), x[0])
+        assert np.allclose(out, h)
 
     def test_three_steps_match_naive_oracle(self):
         p = random_cell(2, 3, seed=42)
@@ -162,6 +186,32 @@ class TestLayerForward:
         b, _ = lstm_layer_forward(p, seq, True)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("return_sequences", [True, False])
+    def test_without_cache_gives_identical_output(self, return_sequences):
+        p = random_cell(3, 2, seed=14)
+        batch = np.random.default_rng(15).normal(size=(4, 6, 2))
+        cached, cache = lstm_layer_forward(p, batch, return_sequences)
+        bare, none = lstm_layer_forward(p, batch, return_sequences, keep_cache=False)
+        assert cache is not None and none is None
+        assert np.array_equal(cached, bare)
+
+    def test_repeated_input_projected_once_matches_materialized(self):
+        # a stride-0 repeat (the decoder's input) takes the projected-once
+        # path; it must agree with the same values stored t times
+        p = random_cell(3, 2, seed=16)
+        rng = np.random.default_rng(17)
+        x0 = rng.normal(size=(4, 2))
+        view = np.broadcast_to(x0[:, None, :], (4, 5, 2))
+        upstream = rng.normal(size=(4, 5, 3))
+        out_v, cache_v = lstm_layer_forward(p, view, True)
+        out_m, cache_m = lstm_layer_forward(p, np.array(view), True)
+        assert np.allclose(out_v, out_m, rtol=0, atol=1e-15)
+        g_v, dx_v = lstm_layer_backward(p, cache_v, upstream)
+        g_m, dx_m = lstm_layer_backward(p, cache_m, upstream)
+        assert np.allclose(g_v.w, g_m.w, rtol=1e-13, atol=1e-15)
+        assert np.allclose(g_v.b, g_m.b, rtol=1e-13, atol=1e-15)
+        assert np.allclose(dx_v, dx_m, rtol=1e-13, atol=1e-15)
+
 
 def fd_layer_gradients(p, seq, upstream, return_sequences, h=1e-6):
     """Finite-difference parameter gradients of loss = sum(upstream * out)."""
@@ -171,7 +221,7 @@ def fd_layer_gradients(p, seq, upstream, return_sequences, h=1e-6):
         return float(np.sum(upstream * out))
 
     grads = {}
-    for name, arr in p.named_arrays():
+    for name, arr in (("w", p.w), ("b", p.b)):
         g = np.zeros_like(arr)
         for idx in range(arr.size):
             orig = arr.flat[idx]
@@ -191,8 +241,7 @@ class TestLayerBackward:
         seq = np.random.default_rng(2).normal(size=(4, 2))
         out, cache = lstm_layer_forward(p, seq, True)
         grads, d_x = lstm_layer_backward(p, cache, np.zeros_like(out))
-        for _, arr in grads.named_arrays():
-            assert np.allclose(arr, 0.0)
+        assert np.allclose(grads.w, 0.0) and np.allclose(grads.b, 0.0)
         assert np.allclose(d_x, 0.0)
 
     def test_one_unit_one_step_matches_finite_differences(self):
@@ -202,7 +251,7 @@ class TestLayerBackward:
         _, cache = lstm_layer_forward(p, seq, return_sequences=False)
         grads, _ = lstm_layer_backward(p, cache, upstream)
         fd = fd_layer_gradients(p, seq, upstream, return_sequences=False)
-        for name, arr in grads.named_arrays():
+        for name, arr in (("w", grads.w), ("b", grads.b)):
             assert np.allclose(arr, fd[name], rtol=1e-5, atol=1e-9), name
 
     @pytest.mark.parametrize("return_sequences", [True, False])
@@ -215,7 +264,7 @@ class TestLayerBackward:
         _, cache = lstm_layer_forward(p, seq, return_sequences)
         grads, _ = lstm_layer_backward(p, cache, upstream)
         fd = fd_layer_gradients(p, seq, upstream, return_sequences)
-        for name, arr in grads.named_arrays():
+        for name, arr in (("w", grads.w), ("b", grads.b)):
             denom = np.maximum(np.abs(arr) + np.abs(fd[name]), 1e-4)
             assert np.max(np.abs(arr - fd[name]) / denom) < 1e-5, name
 
@@ -243,6 +292,34 @@ class TestLayerBackward:
         _, cache = lstm_layer_forward(p, np.zeros((3, 2)), True)
         with pytest.raises(ShapeError):
             lstm_layer_backward(p, cache, np.zeros((2, 2)))
+        _, none = lstm_layer_forward(p, np.zeros((3, 2)), True, keep_cache=False)
+        with pytest.raises(ShapeError):
+            lstm_layer_backward(p, none, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("return_sequences", [True, False])
+    @pytest.mark.parametrize("units", [1, 3])
+    def test_upstream_gradient_is_left_unchanged(self, return_sequences, units):
+        # one window (b = 1) makes the transposed upstream gradient look
+        # contiguous; the backward pass must still copy before writing
+        p = random_cell(units, 2, seed=20)
+        seq = np.random.default_rng(21).normal(size=(1, 4, 2))
+        out, cache = lstm_layer_forward(p, seq, return_sequences)
+        upstream = np.random.default_rng(22).normal(size=out.shape)
+        before = upstream.copy()
+        lstm_layer_backward(p, cache, upstream)
+        assert np.array_equal(upstream, before)
+
+    def test_out_buffer_is_overwritten_not_accumulated(self):
+        p = random_cell(3, 2, seed=18)
+        rng = np.random.default_rng(19)
+        batch = rng.normal(size=(4, 5, 2))
+        upstream = rng.normal(size=(4, 3))
+        _, cache = lstm_layer_forward(p, batch, False)
+        fresh, _ = lstm_layer_backward(p, cache, upstream)
+        out = LstmParams(np.full_like(p.w, 7.0), np.full_like(p.b, 7.0))
+        grads, _ = lstm_layer_backward(p, cache, upstream, out=out)
+        assert grads is out
+        assert np.array_equal(out.w, fresh.w) and np.array_equal(out.b, fresh.b)
 
 
 class TestDense:
@@ -284,17 +361,25 @@ class TestDense:
 class TestDropout:
     def test_rate_zero_is_identity(self):
         x = np.random.default_rng(0).normal(size=(10, 10))
-        assert np.array_equal(dropout(x, 0.0, "train", np.random.default_rng(1)), x)
-        assert np.array_equal(dropout(x, 0.0, "infer"), x)
+        assert np.array_equal(x * dropout_mask(x.shape, 0.0, np.random.default_rng(1)), x)
 
     def test_infer_mode_is_identity(self):
-        x = np.random.default_rng(0).normal(size=(10, 10))
-        assert np.array_equal(dropout(x, 0.2, "infer"), x)
+        # infer mode draws no mask: a model built with dropout 0.2 reconstructs
+        # exactly like the same weights with dropout switched off
+        cfg = autoencoder.ModelConfig(timesteps=4, features=3, units=5, dropout=0.2)
+        w = autoencoder.build(cfg)
+        plain = autoencoder.ModelWeights(w.theta.copy(), autoencoder.ModelConfig(
+            timesteps=4, features=3, units=5, dropout=0.0))
+        x = np.random.default_rng(0).uniform(size=(6, 4, 3))
+        assert np.array_equal(
+            autoencoder.forward(w, x, "infer", np.random.default_rng(1)),
+            autoencoder.forward(plain, x, "train"),
+        )
 
     def test_train_mode_statistics(self):
         rng = np.random.default_rng(123)
         x = np.ones(100_000)
-        out = dropout(x, 0.2, "train", rng)
+        out = x * dropout_mask(x.shape, 0.2, rng)
         survivors = np.count_nonzero(out)
         assert abs(survivors / x.size - 0.8) < 0.01
         assert abs(out.mean() - 1.0) < 0.02  # inverted scaling preserves the mean
@@ -302,36 +387,39 @@ class TestDropout:
 
     def test_invalid_rate_and_mode(self):
         with pytest.raises(ParameterError):
-            dropout(np.zeros(3), 1.0, "train", np.random.default_rng(0))
+            dropout_mask((3,), 1.0, np.random.default_rng(0))
         with pytest.raises(ParameterError):
-            dropout(np.zeros(3), 0.5, "predict")
+            dropout_mask((3,), -0.1, np.random.default_rng(0))
+        w = autoencoder.build(autoencoder.ModelConfig(timesteps=2, features=2, units=2))
         with pytest.raises(ParameterError):
-            dropout(np.zeros(3), 0.5, "train")  # rng required
+            autoencoder.forward(w, np.zeros((1, 2, 2)), "predict")
+        with pytest.raises(ParameterError):
+            autoencoder.forward(w, np.zeros((1, 2, 2)), "train")  # rng required
 
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
-        params = {"w": np.array([1.0, -2.0])}
+        params = np.array([1.0, -2.0])
         state = AdamState()
-        adam_step(params, {"w": np.zeros(2)}, state)
-        assert params["w"].tolist() == [1.0, -2.0]
+        adam_step(params, np.zeros(2), state)
+        assert params.tolist() == [1.0, -2.0]
         assert state.step == 1
 
     def test_first_step_magnitude_is_lr_times_sign(self):
-        params = {"w": np.zeros(3)}
-        grads = {"w": np.array([0.5, -2.0, 1e-4])}
+        params = np.zeros(3)
+        grads = np.array([0.5, -2.0, 1e-4])
         state = AdamState(lr=0.001)
         adam_step(params, grads, state)
         # bias-corrected first step: -lr * g / (|g| + eps) ~ -lr * sign(g)
-        assert np.allclose(params["w"], -0.001 * np.sign(grads["w"]), rtol=1e-3)
+        assert np.allclose(params, -0.001 * np.sign(grads), rtol=1e-3)
 
     def test_two_constant_steps_match_hand_recurrence(self):
         g = 0.3
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        params = {"w": np.array([0.0])}
+        params = np.array([0.0])
         state = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps)
         for _ in range(2):
-            adam_step(params, {"w": np.array([g])}, state)
+            adam_step(params, np.array([g]), state)
 
         # independent scalar recurrence
         theta, m, v = 0.0, 0.0, 0.0
@@ -339,13 +427,13 @@ class TestAdam:
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             theta -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
-        assert params["w"][0] == pytest.approx(theta, abs=1e-15)
+        assert params[0] == pytest.approx(theta, abs=1e-15)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            adam_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, AdamState())
+            adam_step(np.zeros(2), np.zeros(3), AdamState())
         with pytest.raises(ShapeError):
-            adam_step({"w": np.zeros(2)}, {"v": np.zeros(2)}, AdamState())
+            adam_step(np.zeros(2), np.zeros((2, 1)), AdamState())
 
 
 class TestGradCheck:
@@ -354,15 +442,14 @@ class TestGradCheck:
         w = rng.normal(size=(4, 3))
         x = rng.normal(size=(10, 3))
         y = rng.normal(size=(10, 4))
-        params = {"w": w}
 
         def closure():
             pred = x @ w.T
             loss = float(np.mean((pred - y) ** 2))
             grad = 2.0 * (pred - y).T @ x / pred.size
-            return loss, {"w": grad}
+            return loss, grad
 
-        report = grad_check(closure, params, samples=12, rng=np.random.default_rng(1))
+        report = grad_check(closure, w, samples=12, rng=np.random.default_rng(1))
         assert report.max_rel_error < 1e-8
         assert report.passed
 
@@ -370,28 +457,40 @@ class TestGradCheck:
         rng = np.random.default_rng(0)
         w = rng.normal(size=(4, 3))
         x = rng.normal(size=(10, 3))
-        params = {"w": w}
 
         def closure():
             pred = x @ w.T
             loss = float(np.mean(pred**2))
             grad = 2.0 * pred.T @ x / pred.size
-            return loss, {"w": grad * 1.5}  # deliberately wrong
+            return loss, grad * 1.5  # deliberately wrong
 
-        report = grad_check(closure, params, samples=12, rng=np.random.default_rng(1))
+        report = grad_check(closure, w, samples=12, rng=np.random.default_rng(1))
         assert report.max_rel_error > report.tolerance
         assert not report.passed
 
     def test_report_names_worst_parameter(self):
-        params = {"w": np.array([1.0])}
+        params = np.array([1.0])
 
         def closure():
-            return float(params["w"][0] ** 2), {"w": 2 * params["w"]}
+            return float(params[0] ** 2), 2 * params
 
         report = grad_check(closure, params, samples=1)
         assert isinstance(report, GradCheckReport)
-        assert report.worst_param == "w[0]"
+        assert report.worst_index == 0
         assert report.checked == 1
+
+    def test_gradient_buffer_reused_by_the_closure_is_copied(self):
+        # a closure that writes every gradient into one buffer must not let
+        # the perturbed evaluations overwrite the analytic gradient
+        params = np.array([1.0, -2.0])
+        buf = np.empty(2)
+
+        def closure():
+            np.multiply(params, 2.0, out=buf)
+            return float(params @ params), buf
+
+        report = grad_check(closure, params, samples=2, step=1e-3)
+        assert report.max_rel_error < 1e-9
 
 
 class TestSigmoid:
@@ -400,3 +499,11 @@ class TestSigmoid:
         assert np.all(np.isfinite(out))
         assert out[0] == 0.0 and out[-1] == 1.0
         assert out[2] == 0.5
+
+    def test_tanh_form_matches_logistic_and_works_in_place(self):
+        x = np.linspace(-30.0, 30.0, 241)
+        expected = 1.0 / (1.0 + np.exp(-x))
+        assert np.allclose(sigmoid(x), expected, rtol=1e-14, atol=1e-16)
+        buf = x.copy()
+        assert sigmoid(buf, out=buf) is buf
+        assert np.array_equal(buf, sigmoid(x))
