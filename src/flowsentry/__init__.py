@@ -7,7 +7,6 @@ and flag test-time samples whose aggregated error exceeds it.
 
 from .anomaly import (
     DetectionResult,
-    ScoreSeries,
     ThresholdModel,
     calibrate,
     classify,
@@ -21,7 +20,6 @@ from .autoencoder import (
     TrainReport,
     build,
     forward,
-    mae_loss,
     train,
 )
 from .errors import (
@@ -44,12 +42,11 @@ from .ingest import (
     Scaler,
     apply_scaler,
     assemble_test_set,
-    clean,
     fit_scaler,
     parse_csv,
     split_benign,
 )
 from .synth import SynthConfig, gen
-from .windowing import SequenceBatch, WindowConfig, make_windows, windows_containing
+from .windowing import WindowConfig, make_windows
 
 __version__ = "0.1.0"

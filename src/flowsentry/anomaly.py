@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import time
 from dataclasses import dataclass, field
@@ -27,58 +26,30 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .ingest import FeatureSpec, Scaler, apply_scaler, clean, parse_csv, to_dataset
-from .windowing import SequenceBatch, WindowConfig, make_windows
+from .ingest import FeatureSpec, Scaler, apply_scaler, parse_csv, to_dataset
+from .windowing import WindowConfig, make_windows
 
-logger = logging.getLogger(__name__)
-
-THRESHOLD_FILE_VERSION = 1
-
-
-@dataclass
-class ScoreSeries:
-    """Per-sample mean reconstruction error plus the window count behind it."""
-
-    score: np.ndarray  # (n,) float
-    coverage: np.ndarray  # (n,) int
-
-    def __post_init__(self):
-        self.score = np.asarray(self.score, dtype=float)
-        self.coverage = np.asarray(self.coverage, dtype=int)
-        if self.score.shape != self.coverage.shape or self.score.ndim != 1:
-            raise ShapeError("score and coverage must be 1-D vectors of equal length")
-
-    @property
-    def n(self) -> int:
-        return self.score.shape[0]
+THRESHOLD_FILE_VERSION = 2
 
 
 @dataclass
 class ThresholdModel:
-    """Everything needed to score new data: threshold, scaler, window, model."""
+    """Everything needed to score new data: threshold, scaler, window, and
+    the path and sha256 of the model file it was calibrated with."""
 
     threshold: float
     scaler: Scaler
     window: WindowConfig
-    model_path: str | None = None
-    weights: ModelWeights | None = None
+    model_path: str
+    model_sha256: str
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.threshold < 0:
             raise ParameterError(f"threshold must be >= 0, got {self.threshold}")
 
-    def require_weights(self) -> ModelWeights:
-        if self.weights is None:
-            if self.model_path is None:
-                raise DataError("threshold model references no weights")
-            self.weights = autoencoder.load(self.model_path)
-        return self.weights
 
-
-def per_sample_errors(
-    x: np.ndarray, recon: np.ndarray, batch: SequenceBatch
-) -> ScoreSeries:
+def per_sample_errors(x: np.ndarray, recon: np.ndarray) -> np.ndarray:
     """Aggregate window reconstructions into per-sample scores.
 
     For sample i and feature j, the error is the mean of
@@ -90,10 +61,8 @@ def per_sample_errors(
     recon = np.asarray(recon, dtype=float)
     if x.ndim != 2:
         raise ShapeError(f"source matrix must be 2-D, got ndim={x.ndim}")
-    if recon.shape != batch.data.shape:
-        raise ShapeError(
-            f"reconstruction shape {recon.shape} != window batch shape {batch.data.shape}"
-        )
+    if recon.ndim != 3:
+        raise ShapeError(f"reconstruction must be rank 3, got ndim={recon.ndim}")
     n, m = x.shape
     w, t, mb = recon.shape
     if mb != m or w != n - t + 1:
@@ -102,66 +71,63 @@ def per_sample_errors(
         )
 
     # sample index addressed by each (window, offset) slot
-    idx = batch.origin[:, None] + np.arange(t)[None, :]
+    idx = np.arange(w)[:, None] + np.arange(t)[None, :]
     err = np.abs(recon - x[idx])
     sums = np.zeros((n, m))
     np.add.at(sums, idx.reshape(-1), err.reshape(-1, m))
     counts = np.bincount(idx.reshape(-1), minlength=n)
     per_feature = sums / counts[:, None]
-    return ScoreSeries(score=per_feature.mean(axis=1), coverage=counts)
+    return per_feature.mean(axis=1)
 
 
-def calibrate(training_scores: ScoreSeries | np.ndarray) -> float:
+def calibrate(training_scores: np.ndarray) -> float:
     """Threshold = maximum per-sample score on the (benign) training data."""
-    scores = (
-        training_scores.score
-        if isinstance(training_scores, ScoreSeries)
-        else np.asarray(training_scores, dtype=float)
-    )
+    scores = np.asarray(training_scores, dtype=float)
     if scores.size == 0:
         raise DataError("cannot calibrate a threshold from an empty score series")
     return float(scores.max())
 
 
-def classify(scores: ScoreSeries | np.ndarray, threshold: float) -> np.ndarray:
+def classify(scores: np.ndarray, threshold: float) -> np.ndarray:
     """1 where score is strictly above the threshold, else 0. Ties are normal."""
     if threshold < 0:
         raise ParameterError(f"threshold must be >= 0, got {threshold}")
-    values = (
-        scores.score if isinstance(scores, ScoreSeries) else np.asarray(scores, dtype=float)
-    )
-    return (values > threshold).astype(int)
+    return (np.asarray(scores, dtype=float) > threshold).astype(int)
 
 
 def score_matrix(
     scaled: np.ndarray, weights: ModelWeights, window: WindowConfig
-) -> ScoreSeries:
+) -> np.ndarray:
     """Window an already-scaled matrix, reconstruct it, and aggregate scores."""
-    batch = make_windows(scaled, window)
-    recon = autoencoder.forward(weights, batch, mode="infer")
-    return per_sample_errors(scaled, recon, batch)
+    windows = make_windows(scaled, window)
+    recon = autoencoder.forward(weights, windows, mode="infer")
+    return per_sample_errors(scaled, recon)
 
 
 @dataclass
 class DetectionResult:
     rows: np.ndarray  # source data-row index per surviving sample
     labels: np.ndarray
-    scores: ScoreSeries
+    scores: np.ndarray
     verdicts: np.ndarray
 
 
 def detect(
-    raw_csv: str | Path, tm: ThresholdModel, spec: FeatureSpec | None = None
+    raw_csv: str | Path,
+    tm: ThresholdModel,
+    weights: ModelWeights,
+    spec: FeatureSpec | None = None,
 ) -> DetectionResult:
     """Full scoring pipeline on a raw flow CSV.
 
-    parse -> clean -> select -> apply stored scaler (clamped) -> window ->
-    reconstruct (infer) -> per-sample errors -> classify. Every surviving
-    sample gets a verdict, including the edge samples near file boundaries.
+    parse (skipping malformed rows) -> select -> apply stored scaler
+    (clamped) -> window -> reconstruct (infer) -> per-sample errors ->
+    classify. Every surviving sample gets a verdict, including the edge
+    samples near file boundaries.
     """
     if spec is None and tm.scaler.feature_names:
         spec = FeatureSpec(names=tm.scaler.feature_names)
-    records = clean(parse_csv(raw_csv, spec))
+    records = parse_csv(raw_csv, spec)
     t = tm.window.timesteps
     if len(records) < t:
         raise InsufficientDataError(
@@ -169,7 +135,7 @@ def detect(
         )
     ds = to_dataset(records)
     scaled = apply_scaler(ds.matrix, tm.scaler)
-    scores = score_matrix(scaled, tm.require_weights(), tm.window)
+    scores = score_matrix(scaled, weights, tm.window)
     verdicts = classify(scores, tm.threshold)
     rows = np.array([r.row for r in records], dtype=int)
     return DetectionResult(rows=rows, labels=ds.labels, scores=scores, verdicts=verdicts)
@@ -192,7 +158,7 @@ def save_threshold(tm: ThresholdModel, path: str | Path) -> None:
     doc = {
         "version": THRESHOLD_FILE_VERSION,
         "threshold": tm.threshold,
-        "window": {"timesteps": tm.window.timesteps, "stride": tm.window.stride},
+        "window": {"timesteps": tm.window.timesteps},
         "scaler": {
             "version": 1,
             "feature_names": list(tm.scaler.feature_names),
@@ -200,6 +166,7 @@ def save_threshold(tm: ThresholdModel, path: str | Path) -> None:
             "max": tm.scaler.max.tolist(),
         },
         "model": tm.model_path,
+        "model_sha256": tm.model_sha256,
         "provenance": dict(tm.provenance),
     }
     if "created" not in doc["provenance"]:
@@ -225,14 +192,12 @@ def load_threshold(path: str | Path) -> ThresholdModel:
             np.array(scaler_doc["max"], dtype=float),
             tuple(scaler_doc.get("feature_names", ())),
         )
-        window = WindowConfig(
-            timesteps=int(doc["window"]["timesteps"]), stride=int(doc["window"]["stride"])
-        )
         return ThresholdModel(
             threshold=float(doc["threshold"]),
             scaler=scaler,
-            window=window,
-            model_path=doc.get("model"),
+            window=WindowConfig(timesteps=int(doc["window"]["timesteps"])),
+            model_path=str(doc["model"]),
+            model_sha256=str(doc["model_sha256"]),
             provenance=dict(doc.get("provenance", {})),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -34,7 +34,6 @@ from .lstm import (
     lstm_layer_backward,
     lstm_layer_forward,
 )
-from .windowing import SequenceBatch
 
 logger = logging.getLogger(__name__)
 
@@ -121,33 +120,24 @@ class ModelWeights:
 @dataclass
 class TrainReport:
     train_loss: list[float] = field(default_factory=list)
-    val_loss: list[float] | None = None
     epoch_seconds: list[float] = field(default_factory=list)
 
 
-def build(config: ModelConfig, seed: int | None = None) -> ModelWeights:
-    """Deterministic Glorot initialization under the given (or config) seed."""
-    effective = config.seed if seed is None else seed
-    rng = np.random.default_rng([effective, 0])
+def build(config: ModelConfig) -> ModelWeights:
+    """Deterministic Glorot initialization under the config's seed."""
+    rng = np.random.default_rng([config.seed, 0])
     encoder = LstmParams.glorot(config.units, config.features, rng)
     decoder = LstmParams.glorot(config.units, config.units, rng)
     projection = DenseParams.glorot(config.features, config.units, rng)
     return ModelWeights.from_parts(encoder, decoder, projection, config)
 
 
-def _batch_array(batch: SequenceBatch | np.ndarray) -> np.ndarray:
-    data = batch.data if isinstance(batch, SequenceBatch) else np.asarray(batch, dtype=float)
-    if data.ndim != 3:
-        raise ShapeError(f"window batch must be rank 3, got ndim={data.ndim}")
-    return data
-
-
 def _forward(weights: ModelWeights, x: np.ndarray, mode: str, rng, keep_cache: bool):
     cfg = weights.config
-    if x.shape[1] != cfg.timesteps or x.shape[2] != cfg.features:
+    if x.ndim != 3 or x.shape[1:] != (cfg.timesteps, cfg.features):
         raise ShapeError(
-            f"batch windows are {x.shape[1]}x{x.shape[2]}, model expects "
-            f"{cfg.timesteps}x{cfg.features}"
+            f"window batch has shape {x.shape}, model expects "
+            f"(windows, {cfg.timesteps}, {cfg.features})"
         )
     if mode not in ("train", "infer"):
         raise ParameterError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -169,22 +159,13 @@ def _forward(weights: ModelWeights, x: np.ndarray, mode: str, rng, keep_cache: b
 
 def forward(
     weights: ModelWeights,
-    batch: SequenceBatch | np.ndarray,
+    windows: np.ndarray,
     mode: str = "infer",
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Reconstruct every window; output shape equals input shape (w, t, m)."""
-    recon, _ = _forward(weights, _batch_array(batch), mode, rng, keep_cache=False)
+    recon, _ = _forward(weights, np.asarray(windows, dtype=float), mode, rng, keep_cache=False)
     return recon
-
-
-def mae_loss(x: np.ndarray, x_hat: np.ndarray) -> float:
-    """Mean absolute difference over all elements of the batch."""
-    x = np.asarray(x, dtype=float)
-    x_hat = np.asarray(x_hat, dtype=float)
-    if x.shape != x_hat.shape:
-        raise ShapeError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
-    return float(np.mean(np.abs(x - x_hat)))
 
 
 def loss_and_gradients(
@@ -196,7 +177,7 @@ def loss_and_gradients(
 ) -> tuple[float, np.ndarray]:
     """One forward/backward pass; the gradient is laid out like weights.theta
     and overwrites `out` when it is given."""
-    x = _batch_array(x)
+    x = np.asarray(x, dtype=float)
     recon, (enc_cache, enc_mask, dec_cache, dec_mask, dec_out) = _forward(
         weights, x, mode, rng, keep_cache=True
     )
@@ -219,24 +200,18 @@ def loss_and_gradients(
     return loss, grad
 
 
-def train(
-    weights: ModelWeights,
-    benign_windows: SequenceBatch | np.ndarray,
-    config: ModelConfig | None = None,
-    val_windows: SequenceBatch | np.ndarray | None = None,
-) -> tuple[ModelWeights, TrainReport]:
+def train(weights: ModelWeights, benign_windows: np.ndarray) -> tuple[ModelWeights, TrainReport]:
     """Epochs of shuffled mini-batches (last partial batch kept) with Adam.
 
     The caller is responsible for passing windows built from benign-only,
     scaled data. Raises DivergenceError if the loss ever goes non-finite.
     """
-    cfg = config or weights.config
-    data = _batch_array(benign_windows)
-    val = _batch_array(val_windows) if val_windows is not None else None
+    cfg = weights.config
+    data = np.asarray(benign_windows, dtype=float)
     rng = np.random.default_rng([cfg.seed, 1])
     grad = np.empty_like(weights.theta)
     adam = AdamState(lr=cfg.learning_rate)
-    report = TrainReport(val_loss=[] if val is not None else None)
+    report = TrainReport()
 
     n = data.shape[0]
     for epoch in range(cfg.epochs):
@@ -253,8 +228,6 @@ def train(
             adam_step(weights.theta, grads, adam)
             total += loss * xb.shape[0]
         report.train_loss.append(total / n)
-        if val is not None:
-            report.val_loss.append(mae_loss(val, forward(weights, val, mode="infer")))
         report.epoch_seconds.append(time.perf_counter() - tic)
         logger.debug("epoch %d/%d loss %.6f", epoch + 1, cfg.epochs, report.train_loss[-1])
     return weights, report

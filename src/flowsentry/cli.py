@@ -9,6 +9,7 @@ and every report embeds the resolved configuration for provenance.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import os
@@ -117,7 +118,7 @@ def _model_config(cfg: dict, features: int | None = None) -> autoencoder.ModelCo
 
 
 def _load_labeled_rows(path: str, spec: FeatureSpec, want_label: int, side: str) -> ingest.Dataset:
-    records = ingest.clean(ingest.parse_csv(path, spec))
+    records = ingest.parse_csv(path, spec)
     kept = [r for r in records if r.label == want_label]
     if len(kept) != len(records):
         logger.warning(
@@ -169,8 +170,7 @@ def cmd_preprocess(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def _scaled_matrix(path: str, spec: FeatureSpec, scaler: ingest.Scaler) -> np.ndarray:
-    records = ingest.clean(ingest.parse_csv(path, spec))
-    ds = ingest.to_dataset(records)
+    ds = ingest.to_dataset(ingest.parse_csv(path, spec))
     if ds.n == 0:
         raise DataError(f"{path}: no usable rows")
     return ingest.apply_scaler(ds.matrix, scaler)
@@ -179,36 +179,40 @@ def _scaled_matrix(path: str, spec: FeatureSpec, scaler: ingest.Scaler) -> np.nd
 def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
     scaler = ingest.load_scaler(args.scaler) if args.scaler else None
     spec = _spec_for_scaler(cfg, args, scaler) if scaler else _feature_spec(cfg)
-    records = ingest.clean(ingest.parse_csv(args.input, spec))
-    ds = ingest.to_dataset(records)
+    ds = ingest.to_dataset(ingest.parse_csv(args.input, spec))
     if ds.n == 0:
         raise DataError(f"{args.input}: no usable rows")
     if scaler is None:
         scaler = ingest.fit_scaler(ds.matrix, spec.names)
         logger.info("train: no --scaler given, fitted min-max on the training input")
     scaled = ingest.apply_scaler(ds.matrix, scaler)
-    batch = make_windows(scaled, WindowConfig(timesteps=cfg["window"]))
+    windows = make_windows(scaled, WindowConfig(timesteps=cfg["window"]))
     weights = autoencoder.build(_model_config(cfg, features=spec.m))
-    weights, report = autoencoder.train(weights, batch)
+    weights, report = autoencoder.train(weights, windows)
     autoencoder.save(weights, args.out)
     if args.history:
         history = {
-            "version": 1,
+            "version": 2,
             "config": cfg,
             "train_loss": report.train_loss,
-            "val_loss": report.val_loss,
             "epoch_seconds": report.epoch_seconds,
         }
         Path(args.history).write_text(
             json.dumps(history, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
     final = report.train_loss[-1] if report.train_loss else float("nan")
-    print(f"train: {batch.windows} windows, {cfg['epochs']} epochs, final MAE {final:.6f} -> {args.out}")
+    print(f"train: {len(windows)} windows, {cfg['epochs']} epochs, final MAE {final:.6f} -> {args.out}")
     return EXIT_OK
 
 
+def _load_model(path: str) -> tuple[autoencoder.ModelWeights, str]:
+    """The model in `path` and the sha256 of the file's bytes."""
+    weights = autoencoder.load(path)
+    return weights, hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def cmd_calibrate(args: argparse.Namespace, cfg: dict) -> int:
-    weights = autoencoder.load(args.model)
+    weights, model_sha256 = _load_model(args.model)
     scaler = ingest.load_scaler(args.scaler)
     spec = _spec_for_scaler(cfg, args, scaler)
     scaled = _scaled_matrix(args.input, spec, scaler)
@@ -220,27 +224,32 @@ def cmd_calibrate(args: argparse.Namespace, cfg: dict) -> int:
         scaler=scaler,
         window=window,
         model_path=str(args.model),
-        weights=weights,
+        model_sha256=model_sha256,
         provenance={
             "training_fingerprint": anomaly.training_fingerprint(scaled),
             "config": cfg,
         },
     )
     anomaly.save_threshold(tm, args.out)
-    print(f"calibrate: threshold {threshold!r} over {scores.n} samples -> {args.out}")
+    print(f"calibrate: threshold {threshold!r} over {scores.size} samples -> {args.out}")
     return EXIT_OK
 
 
 def cmd_detect(args: argparse.Namespace, cfg: dict) -> int:
     tm = anomaly.load_threshold(args.thresholds)
-    if args.model:
-        tm.model_path = str(args.model)
+    model_path = args.model or tm.model_path
+    weights, model_sha256 = _load_model(model_path)
+    if model_sha256 != tm.model_sha256:
+        raise DataError(
+            f"{model_path} (sha256 {model_sha256[:12]}) is not the model "
+            f"{args.thresholds} was calibrated with (sha256 {tm.model_sha256[:12]})"
+        )
     spec = _spec_for_scaler(cfg, args, tm.scaler)
-    result = anomaly.detect(args.input, tm, spec)
+    result = anomaly.detect(args.input, tm, weights, spec)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("row_index,score,verdict,label\n")
         for row, score, verdict, label in zip(
-            result.rows, result.scores.score, result.verdicts, result.labels
+            result.rows, result.scores, result.verdicts, result.labels
         ):
             fh.write(f"{row},{float(score)!r},{verdict},{label}\n")
     flagged = int(result.verdicts.sum())
@@ -330,9 +339,8 @@ def _run_sweep_cell(
     scaler = ingest.fit_scaler(train_ds.matrix, spec.names)
     scaled_train = ingest.apply_scaler(train_ds.matrix, scaler)
     window = WindowConfig(timesteps=cfg["window"])
-    batch = make_windows(scaled_train, window)
     weights = autoencoder.build(_model_config(cfg))
-    weights, train_report = autoencoder.train(weights, batch)
+    weights, train_report = autoencoder.train(weights, make_windows(scaled_train, window))
     threshold = anomaly.calibrate(anomaly.score_matrix(scaled_train, weights, window))
 
     test_ds = ingest.assemble_test_set(held, attacks, cfg["attack_frac"], cfg["seed"])
@@ -349,7 +357,7 @@ def _run_sweep_cell(
         "epoch_time_mean": float(np.mean(train_report.epoch_seconds)),
         "epoch_time_std": float(np.std(train_report.epoch_seconds)),
     }
-    return _evaluate_arrays(scores.score, verdicts, test_ds.labels, metadata)
+    return _evaluate_arrays(scores, verdicts, test_ds.labels, metadata)
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:

@@ -90,21 +90,6 @@ class MetricsReport:
             "metadata": self.metadata,
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MetricsReport":
-        counts = ConfusionCounts(**doc["counts"])
-        return cls(
-            counts=counts,
-            accuracy=doc["accuracy"],
-            precision=doc["precision"],
-            recall=doc["recall"],
-            fpr=doc["fpr"],
-            f1=doc["f1"],
-            auc=doc.get("auc"),
-            degenerate=tuple(doc.get("degenerate", ())),
-            metadata=dict(doc.get("metadata", {})),
-        )
-
 
 def _binary_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values)
@@ -273,11 +258,6 @@ def emit_report(report: MetricsReport, fmt: str = "json", path: str | Path | Non
         except OSError as exc:
             raise DataError(f"cannot write report to {path}: {exc}") from exc
     return text
-
-
-def load_report(path: str | Path) -> MetricsReport:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return MetricsReport.from_dict(doc)
 
 
 def write_sweep_csv(reports: list[MetricsReport], path: str | Path) -> None:

@@ -1,4 +1,4 @@
-"""Flow CSV ingestion: parsing, cleaning, label encoding and min-max scaling.
+"""Flow CSV ingestion: parsing, label encoding and min-max scaling.
 
 Consumes CSVs in the CICDDoS2019 column layout (header row, feature columns
 that may carry leading whitespace, a categorical ``Label`` column). Rows with
@@ -97,11 +97,10 @@ class Scaler:
 
 @dataclass
 class Dataset:
-    """Feature matrix with aligned binary labels and (optionally) the fitted scaler."""
+    """Feature matrix with aligned binary labels."""
 
     matrix: np.ndarray  # (n, m) float64
     labels: np.ndarray  # (n,) int
-    scaler: Scaler | None = None
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -170,22 +169,13 @@ def parse_csv(path: str | Path, spec: FeatureSpec | None = None) -> list[FlowRec
     return records
 
 
-def clean(records: Sequence[FlowRecord]) -> list[FlowRecord]:
-    """Drop records with any NaN/inf feature, preserving order. Idempotent."""
-    survivors = [r for r in records if np.isfinite(r.features).all()]
-    removed = len(records) - len(survivors)
-    if removed:
-        logger.info("clean: removed %d record(s) with non-finite features", removed)
-    return survivors
-
-
-def to_dataset(records: Sequence[FlowRecord], scaler: Scaler | None = None) -> Dataset:
+def to_dataset(records: Sequence[FlowRecord]) -> Dataset:
     """Stack records into a Dataset (empty records give a 0×0 matrix)."""
     if not records:
-        return Dataset(np.empty((0, 0)), np.empty((0,), dtype=int), scaler)
+        return Dataset(np.empty((0, 0)), np.empty((0,), dtype=int))
     matrix = np.stack([r.features for r in records])
     labels = np.array([r.label for r in records], dtype=int)
-    return Dataset(matrix, labels, scaler)
+    return Dataset(matrix, labels)
 
 
 def fit_scaler(matrix: np.ndarray, feature_names: Sequence[str] = ()) -> Scaler:
@@ -216,16 +206,6 @@ def apply_scaler(matrix: np.ndarray, scaler: Scaler) -> np.ndarray:
     return out
 
 
-def invert_scaler(matrix: np.ndarray, scaler: Scaler) -> np.ndarray:
-    """Map scaled values back to raw units: x*(max-min)+min."""
-    x = np.asarray(matrix, dtype=float)
-    if x.ndim != 2 or x.shape[1] != scaler.m:
-        raise ShapeError(
-            f"matrix has shape {x.shape}, scaler expects {scaler.m} feature column(s)"
-        )
-    return x * (scaler.max - scaler.min) + scaler.min
-
-
 def split_benign(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Split a benign-only dataset into train / held-out parts.
 
@@ -242,8 +222,8 @@ def split_benign(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset
     n_train = int(math.floor(ds.n * train_fraction))
     train_idx = np.sort(order[:n_train])
     held_idx = np.sort(order[n_train:])
-    train = Dataset(ds.matrix[train_idx], ds.labels[train_idx], ds.scaler)
-    held = Dataset(ds.matrix[held_idx], ds.labels[held_idx], ds.scaler)
+    train = Dataset(ds.matrix[train_idx], ds.labels[train_idx])
+    held = Dataset(ds.matrix[held_idx], ds.labels[held_idx])
     return train, held
 
 
@@ -263,14 +243,12 @@ def assemble_test_set(
     k = int(math.floor(attacks.n * attack_fraction))
     take = np.sort(rng.permutation(attacks.n)[:k])
     if held_out_benign.n == 0:
-        return Dataset(attacks.matrix[take], attacks.labels[take], held_out_benign.scaler)
+        return Dataset(attacks.matrix[take], attacks.labels[take])
     if attacks.n == 0 or k == 0:
-        return Dataset(
-            held_out_benign.matrix.copy(), held_out_benign.labels.copy(), held_out_benign.scaler
-        )
+        return Dataset(held_out_benign.matrix.copy(), held_out_benign.labels.copy())
     matrix = np.concatenate([held_out_benign.matrix, attacks.matrix[take]])
     labels = np.concatenate([held_out_benign.labels, attacks.labels[take]])
-    return Dataset(matrix, labels, held_out_benign.scaler)
+    return Dataset(matrix, labels)
 
 
 def save_scaler(scaler: Scaler, path: str | Path) -> None:

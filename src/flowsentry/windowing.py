@@ -17,37 +17,15 @@ from .errors import InsufficientDataError, ParameterError, ShapeError
 @dataclass(frozen=True)
 class WindowConfig:
     timesteps: int = 10
-    stride: int = 1
 
     def __post_init__(self):
         if self.timesteps < 1:
             raise ParameterError(f"timesteps must be >= 1, got {self.timesteps}")
-        if self.stride != 1:
-            raise ParameterError(f"stride is fixed at 1, got {self.stride}")
 
 
-@dataclass
-class SequenceBatch:
-    """Windows as a rank-3 array plus the source index of each window's first row."""
-
-    data: np.ndarray  # (w, t, m)
-    origin: np.ndarray  # (w,)
-
-    @property
-    def windows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def timesteps(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def features(self) -> int:
-        return self.data.shape[2]
-
-
-def make_windows(matrix: np.ndarray, cfg: WindowConfig) -> SequenceBatch:
-    """All n-t+1 length-t windows of the matrix; window k covers rows k..k+t-1."""
+def make_windows(matrix: np.ndarray, cfg: WindowConfig) -> np.ndarray:
+    """All n-t+1 length-t windows of the matrix as a (w, t, m) array;
+    window k covers rows k..k+t-1."""
     x = np.asarray(matrix, dtype=float)
     if x.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={x.ndim}")
@@ -57,30 +35,4 @@ def make_windows(matrix: np.ndarray, cfg: WindowConfig) -> SequenceBatch:
         raise InsufficientDataError(
             f"need at least {t} samples to build one window, got {n}"
         )
-    data = sliding_window_view(x, t, axis=0).transpose(0, 2, 1).copy()
-    return SequenceBatch(data=data, origin=np.arange(n - t + 1))
-
-
-def windows_containing(
-    sample_index: int, n: int, cfg: WindowConfig
-) -> list[tuple[int, int]]:
-    """All (window_index, offset) pairs whose window covers the sample."""
-    t = cfg.timesteps
-    if n < t:
-        raise InsufficientDataError(f"need at least {t} samples, got {n}")
-    if not 0 <= sample_index < n:
-        raise IndexError(f"sample index {sample_index} out of range [0,{n})")
-    lo = max(0, sample_index - t + 1)
-    hi = min(sample_index, n - t)
-    return [(k, sample_index - k) for k in range(lo, hi + 1)]
-
-
-def coverage_counts(n: int, cfg: WindowConfig) -> np.ndarray:
-    """Number of windows covering each sample: min(t, i+1, n-i), capped at
-    the total window count n-t+1 (the cap only binds when n < 2t-1)."""
-    t = cfg.timesteps
-    if n < t:
-        raise InsufficientDataError(f"need at least {t} samples, got {n}")
-    i = np.arange(n)
-    counts = np.minimum(np.minimum(np.full(n, t), i + 1), n - i)
-    return np.minimum(counts, n - t + 1)
+    return sliding_window_view(x, t, axis=0).transpose(0, 2, 1).copy()

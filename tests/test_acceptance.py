@@ -94,9 +94,8 @@ def test_criterion_2_aggregation_oracle():
         n = int(rng.integers(t, 51))
         m = int(rng.integers(1, 6))
         x = rng.uniform(size=(n, m))
-        batch = make_windows(x, WindowConfig(t))
-        recon = rng.uniform(size=batch.data.shape)
-        fast = anomaly.per_sample_errors(x, recon, batch).score
+        recon = rng.uniform(size=(n - t + 1, t, m))
+        fast = anomaly.per_sample_errors(x, recon)
         slow = brute_force_scores(x, recon, t)
         worst = max(worst, float(np.max(np.abs(fast - slow))))
     wall = time.perf_counter() - tic
@@ -171,7 +170,7 @@ def test_criterion_3_metric_and_auc_oracles():
 def test_criterion_4_overfit_sanity():
     tic = time.perf_counter()
     # low-noise periodic process; targets confirmed by the reference run
-    # (MAE ~0.0022, eta ~0.0069). Dropout off: this is a capacity check.
+    # (MAE ~0.0037, eta ~0.0050). Dropout off: this is a capacity check.
     cfg = synth.SynthConfig(
         n_benign=2000, n_attack=0, sigma=0.002, period=50.0, seed=4
     )
@@ -381,7 +380,7 @@ CORPUS = os.environ.get("CICDDOS2019_DIR")
 def test_criterion_8_cicddos2019_replication():
     def run_attack(csv_name, seed=8):
         path = Path(CORPUS) / csv_name
-        records = ingest.clean(ingest.parse_csv(path))
+        records = ingest.parse_csv(path)
         benign = ingest.to_dataset([r for r in records if r.label == 0])
         attacks = ingest.to_dataset([r for r in records if r.label == 1])
         train_ds, held = ingest.split_benign(benign, 0.8, seed)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from flowsentry import autoencoder
 from flowsentry.anomaly import (
     DetectionResult,
-    ScoreSeries,
     ThresholdModel,
     calibrate,
     classify,
@@ -49,55 +49,56 @@ def brute_force_scores(x, recon, t):
 class TestPerSampleErrors:
     def test_perfect_reconstruction_scores_zero(self):
         x = np.random.default_rng(0).uniform(size=(12, 3))
-        batch = make_windows(x, WindowConfig(4))
-        series = per_sample_errors(x, batch.data.copy(), batch)
-        assert np.allclose(series.score, 0.0)
+        windows = make_windows(x, WindowConfig(4))
+        assert np.allclose(per_sample_errors(x, windows.copy()), 0.0)
 
     def test_interior_sample_with_three_windows_two_features(self):
         # n=5, t=3, m=2: sample 2 sits in all three windows; its score is the
         # mean over windows per feature, then the mean of the two features
         rng = np.random.default_rng(1)
         x = rng.uniform(size=(5, 2))
-        batch = make_windows(x, WindowConfig(3))
-        recon = rng.uniform(size=batch.data.shape)
-        series = per_sample_errors(x, recon, batch)
+        recon = rng.uniform(size=(3, 3, 2))
+        scores = per_sample_errors(x, recon)
 
         per_feature = [
             np.mean([abs(recon[k][2 - k][j] - x[2][j]) for k in (0, 1, 2)])
             for j in (0, 1)
         ]
-        assert series.score[2] == pytest.approx(np.mean(per_feature), abs=1e-15)
-        assert series.coverage.tolist() == [1, 2, 3, 2, 1]
+        assert scores[2] == pytest.approx(np.mean(per_feature), abs=1e-15)
+        # sample 0 sits in window 0 only, sample 4 in window 2 only
+        assert scores[0] == pytest.approx(np.mean(np.abs(recon[0, 0] - x[0])), abs=1e-15)
+        assert scores[4] == pytest.approx(np.mean(np.abs(recon[2, 2] - x[4])), abs=1e-15)
 
     def test_matches_brute_force_on_random_instance(self):
         rng = np.random.default_rng(2)
         x = rng.uniform(size=(20, 4))
-        batch = make_windows(x, WindowConfig(5))
-        recon = rng.uniform(size=batch.data.shape)
-        series = per_sample_errors(x, recon, batch)
-        assert np.max(np.abs(series.score - brute_force_scores(x, recon, 5))) < 1e-12
+        recon = rng.uniform(size=(16, 5, 4))
+        scores = per_sample_errors(x, recon)
+        assert np.max(np.abs(scores - brute_force_scores(x, recon, 5))) < 1e-12
 
     def test_shape_mismatch(self):
         x = np.zeros((10, 2))
-        batch = make_windows(x, WindowConfig(3))
+        windows = make_windows(x, WindowConfig(3))
         with pytest.raises(ShapeError):
-            per_sample_errors(x, np.zeros((7, 3, 2)), batch)
+            per_sample_errors(x, np.zeros((7, 3, 2)))
         with pytest.raises(ShapeError):
-            per_sample_errors(np.zeros((11, 2)), batch.data, batch)
+            per_sample_errors(np.zeros((11, 2)), windows)
+        with pytest.raises(ShapeError):
+            per_sample_errors(x, windows[:, :, :1])
+        with pytest.raises(ShapeError):
+            per_sample_errors(x, windows[0])
 
     def test_scores_are_finite_and_non_negative(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(30, 3))
-        batch = make_windows(x, WindowConfig(7))
-        series = per_sample_errors(x, rng.normal(size=batch.data.shape), batch)
-        assert np.all(series.score >= 0)
-        assert np.all(np.isfinite(series.score))
+        scores = per_sample_errors(x, rng.normal(size=(24, 7, 3)))
+        assert np.all(scores >= 0)
+        assert np.all(np.isfinite(scores))
 
 
 class TestCalibrate:
     def test_maximum_of_scores(self):
-        series = ScoreSeries(np.array([0.1, 0.3, 0.2]), np.array([1, 1, 1]))
-        assert calibrate(series) == 0.3
+        assert calibrate(np.array([0.1, 0.3, 0.2])) == 0.3
 
     def test_all_zero_scores(self):
         assert calibrate(np.zeros(5)) == 0.0
@@ -177,59 +178,48 @@ def small_pipeline(tmp_path_factory):
         scaler=scaler,
         window=WindowConfig(5),
         model_path=str(model_path),
-        weights=weights,
+        model_sha256=hashlib.sha256(model_path.read_bytes()).hexdigest(),
     )
-    return tmp, spec, train_csv, attack_csv, tm
+    return tmp, spec, train_csv, attack_csv, tm, weights
 
 
 class TestDetect:
     def test_training_file_scores_zero_false_positives(self, small_pipeline):
-        _, spec, train_csv, _, tm = small_pipeline
-        result = detect(train_csv, tm, spec)
+        _, spec, train_csv, _, tm, weights = small_pipeline
+        result = detect(train_csv, tm, weights, spec)
         assert isinstance(result, DetectionResult)
         assert result.verdicts.sum() == 0
         assert result.verdicts.size == 400
 
     def test_detect_is_deterministic(self, small_pipeline):
-        _, spec, train_csv, _, tm = small_pipeline
-        a = detect(train_csv, tm, spec)
-        b = detect(train_csv, tm, spec)
+        _, spec, train_csv, _, tm, weights = small_pipeline
+        a = detect(train_csv, tm, weights, spec)
+        b = detect(train_csv, tm, weights, spec)
         assert np.array_equal(a.verdicts, b.verdicts)
-        assert np.array_equal(a.scores.score, b.scores.score)
+        assert np.array_equal(a.scores, b.scores)
 
     def test_shifted_rows_are_flagged(self, small_pipeline):
-        _, spec, _, attack_csv, tm = small_pipeline
-        result = detect(attack_csv, tm, spec)
+        _, spec, _, attack_csv, tm, weights = small_pipeline
+        result = detect(attack_csv, tm, weights, spec)
         assert result.verdicts.mean() > 0.95
 
     def test_too_few_samples(self, small_pipeline, tmp_path):
-        _, spec, _, _, tm = small_pipeline
+        _, spec, _, _, tm, weights = small_pipeline
         short_csv = tmp_path / "short.csv"
         write_csv(short_csv, np.ones((3, 2)), np.zeros(3, dtype=int), spec)
         with pytest.raises(InsufficientDataError):
-            detect(short_csv, tm, spec)
+            detect(short_csv, tm, weights, spec)
 
     def test_row_indices_skip_malformed_rows(self, small_pipeline, tmp_path):
-        _, spec, train_csv, _, tm = small_pipeline
+        _, spec, train_csv, _, tm, weights = small_pipeline
         lines = train_csv.read_text().splitlines()
         # corrupt data row 2 (third after the header)
         lines[3] = lines[3].replace(lines[3].split(",")[2], "not-a-number", 1)
         broken_csv = tmp_path / "broken.csv"
         broken_csv.write_text("\n".join(lines) + "\n")
-        result = detect(broken_csv, tm, spec)
+        result = detect(broken_csv, tm, weights, spec)
         assert 2 not in result.rows
         assert result.rows[0] == 0 and result.rows[2] == 3
-
-    def test_weights_loaded_from_model_path(self, small_pipeline):
-        _, spec, train_csv, _, tm = small_pipeline
-        fresh = ThresholdModel(
-            threshold=tm.threshold,
-            scaler=tm.scaler,
-            window=tm.window,
-            model_path=tm.model_path,
-        )
-        result = detect(train_csv, fresh, spec)
-        assert result.verdicts.sum() == 0
 
 
 class TestThresholdPersistence:
@@ -240,6 +230,7 @@ class TestThresholdPersistence:
             scaler=scaler,
             window=WindowConfig(5),
             model_path="model.json",
+            model_sha256="cd" * 32,
             provenance={"training_fingerprint": "ab" * 32},
         )
 
@@ -251,6 +242,7 @@ class TestThresholdPersistence:
         assert loaded.window == WindowConfig(5)
         assert loaded.scaler.feature_names == ("A", "B")
         assert loaded.model_path == "model.json"
+        assert loaded.model_sha256 == "cd" * 32
         assert loaded.provenance["training_fingerprint"] == "ab" * 32
 
     def test_created_stamp_honors_source_date_epoch(self, tmp_path, monkeypatch):

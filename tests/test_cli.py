@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -120,6 +121,55 @@ class TestPipeline:
         th_a["provenance"].pop("config"), th_b["provenance"].pop("config")
         assert th_a == th_b
         assert (pipeline_dir / "verdicts.csv").read_bytes() == verdicts2.read_bytes()
+
+
+class TestArtifactVersions:
+    def test_history_is_version_2_without_validation_loss(self, pipeline_dir):
+        doc = json.loads((pipeline_dir / "history.json").read_text())
+        assert doc["version"] == 2
+        assert "val_loss" not in doc
+        assert len(doc["train_loss"]) == len(doc["epoch_seconds"]) == 8
+
+    def test_threshold_records_the_model_hash(self, pipeline_dir):
+        th = json.loads((pipeline_dir / "th.json").read_text())
+        assert th["version"] == 2
+        assert th["window"] == {"timesteps": 10}
+        digest = hashlib.sha256((pipeline_dir / "model.json").read_bytes()).hexdigest()
+        assert th["model_sha256"] == digest
+
+    def test_detect_without_model_loads_the_path_in_th_json(self, pipeline_dir):
+        out = pipeline_dir / "default_model_verdicts.csv"
+        assert run("detect", "--thresholds", pipeline_dir / "th.json",
+                   "--input", pipeline_dir / "prep" / "test.csv", "--out", out) == 0
+        assert out.read_bytes() == (pipeline_dir / "verdicts.csv").read_bytes()
+
+    def test_detect_refuses_a_model_with_another_hash(self, pipeline_dir, capsys):
+        prep = pipeline_dir / "prep"
+        other = pipeline_dir / "other.json"
+        assert run("train", "--input", prep / "train.csv", "--scaler", prep / "scaler.json",
+                   "--epochs", 1, "--seed", 12, "--out", other) == 0
+        out = pipeline_dir / "other_verdicts.csv"
+        capsys.readouterr()
+        assert run("detect", "--model", other, "--thresholds", pipeline_dir / "th.json",
+                   "--input", prep / "test.csv", "--out", out) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "calibrated" in err[0], err
+        assert not out.exists()
+
+    def test_version_1_threshold_file_is_unsupported(self, pipeline_dir, capsys):
+        th = json.loads((pipeline_dir / "th.json").read_text())
+        th["version"] = 1
+        th["window"]["stride"] = 1
+        del th["model_sha256"]
+        old = pipeline_dir / "th_v1.json"
+        old.write_text(json.dumps(th))
+        out = pipeline_dir / "v1_verdicts.csv"
+        capsys.readouterr()
+        assert run("detect", "--model", pipeline_dir / "model.json", "--thresholds", old,
+                   "--input", pipeline_dir / "prep" / "test.csv", "--out", out) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "unsupported" in err[0], err
+        assert not out.exists()
 
 
 class TestGradcheck:

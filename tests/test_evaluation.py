@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,6 @@ from flowsentry.evaluation import (
     auc_roc,
     confusion,
     emit_report,
-    load_report,
     metrics,
     render_report,
     roc_points,
@@ -195,8 +195,9 @@ class TestEmitReport:
         report = sample_report()
         path = tmp_path / "report.json"
         emit_report(report, "json", path)
-        loaded = load_report(path)
-        assert loaded == report
+        loaded = json.loads(path.read_text(encoding="utf-8"))
+        assert loaded == report.to_dict()
+        assert loaded["counts"] == {"tp": 9430, "tn": 9999, "fp": 1, "fn": 570}
 
     def test_csv_header_fixed_and_stable(self):
         a = render_report(sample_report(), "csv").splitlines()[0]

@@ -14,12 +14,9 @@ from flowsentry.ingest import (
     DEFAULT_FEATURES,
     Dataset,
     FeatureSpec,
-    FlowRecord,
     apply_scaler,
     assemble_test_set,
-    clean,
     fit_scaler,
-    invert_scaler,
     load_scaler,
     parse_csv,
     save_scaler,
@@ -29,6 +26,11 @@ from flowsentry.ingest import (
 )
 
 SPEC2 = FeatureSpec(names=("A", "B"), label_column="Label")
+
+
+def invert_scaler(scaled, scaler):
+    """Oracle: map scaled values back to raw units, x*(max-min)+min."""
+    return scaled * (scaler.max - scaler.min) + scaler.min
 
 
 def write(tmp_path, text, name="flows.csv"):
@@ -100,31 +102,37 @@ class TestParseCsv:
 
 
 class TestClean:
-    def rec(self, *values, label=0):
-        return FlowRecord(np.array(values, dtype=float), label)
+    """parse_csv drops every row with a NaN/inf feature, in order."""
 
-    def test_empty_input(self):
-        assert clean([]) == []
+    def parse(self, tmp_path, *rows):
+        body = "".join(f"{a},{b},BENIGN\n" for a, b in rows)
+        return parse_csv(write(tmp_path, f"A,B,Label\n{body}"), SPEC2)
 
-    def test_single_nan_record_removed(self):
-        records = [self.rec(1, 2), self.rec(np.nan, 2)] + [self.rec(i, i) for i in range(3)]
-        assert len(clean(records)) == 4
+    def test_empty_input(self, tmp_path):
+        assert self.parse(tmp_path) == []
 
-    def test_two_inf_rows_of_ten(self, caplog):
-        records = [self.rec(i, i) for i in range(8)]
-        records.insert(3, self.rec(np.inf, 0))
-        records.insert(7, self.rec(0, -np.inf))
-        with caplog.at_level("INFO"):
-            survivors = clean(records)
+    def test_single_nan_record_removed(self, tmp_path):
+        rows = [(1, 2), ("nan", 2)] + [(i, i) for i in range(3)]
+        assert len(self.parse(tmp_path, *rows)) == 4
+
+    def test_two_inf_rows_of_ten(self, tmp_path, caplog):
+        rows = [(i, i) for i in range(8)]
+        rows.insert(3, ("inf", 0))
+        rows.insert(7, (0, "-inf"))
+        with caplog.at_level("WARNING"):
+            survivors = self.parse(tmp_path, *rows)
         assert len(survivors) == 8
-        assert "removed 2" in caplog.text
-        # order preserved
+        assert "skipped 2" in caplog.text
+        # order preserved, source rows kept
         assert [r.features[0] for r in survivors] == [float(i) for i in range(8)]
+        assert [r.row for r in survivors] == [0, 1, 2, 4, 5, 6, 8, 9]
 
-    def test_idempotent(self):
-        records = [self.rec(1, np.nan), self.rec(2, 3), self.rec(np.inf, 1)]
-        once = clean(records)
-        assert clean(once) == once
+    def test_idempotent(self, tmp_path):
+        once = self.parse(tmp_path, (1, "nan"), (2, 3), ("inf", 1))
+        again, ds = tmp_path / "again.csv", to_dataset(once)
+        write_csv(again, ds.matrix, ds.labels, SPEC2)
+        twice = parse_csv(again, SPEC2)
+        assert [r.features.tolist() for r in twice] == [r.features.tolist() for r in once]
 
 
 class TestScaler:
