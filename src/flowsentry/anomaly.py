@@ -26,7 +26,15 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .ingest import FeatureSpec, Scaler, apply_scaler, parse_csv, to_dataset
+from .ingest import (
+    FeatureSpec,
+    Scaler,
+    apply_scaler,
+    parse_csv,
+    scaler_from_doc,
+    scaler_to_doc,
+    to_dataset,
+)
 from .windowing import WindowConfig, make_windows
 
 THRESHOLD_FILE_VERSION = 2
@@ -159,12 +167,7 @@ def save_threshold(tm: ThresholdModel, path: str | Path) -> None:
         "version": THRESHOLD_FILE_VERSION,
         "threshold": tm.threshold,
         "window": {"timesteps": tm.window.timesteps},
-        "scaler": {
-            "version": 1,
-            "feature_names": list(tm.scaler.feature_names),
-            "min": tm.scaler.min.tolist(),
-            "max": tm.scaler.max.tolist(),
-        },
+        "scaler": scaler_to_doc(tm.scaler),
         "model": tm.model_path,
         "model_sha256": tm.model_sha256,
         "provenance": dict(tm.provenance),
@@ -186,15 +189,9 @@ def load_threshold(path: str | Path) -> ThresholdModel:
             f"{path}: unsupported threshold file version {doc.get('version')!r}"
         )
     try:
-        scaler_doc = doc["scaler"]
-        scaler = Scaler(
-            np.array(scaler_doc["min"], dtype=float),
-            np.array(scaler_doc["max"], dtype=float),
-            tuple(scaler_doc.get("feature_names", ())),
-        )
         return ThresholdModel(
             threshold=float(doc["threshold"]),
-            scaler=scaler,
+            scaler=scaler_from_doc(doc["scaler"], path),
             window=WindowConfig(timesteps=int(doc["window"]["timesteps"])),
             model_path=str(doc["model"]),
             model_sha256=str(doc["model_sha256"]),

@@ -1,20 +1,22 @@
 """Command-line pipeline: synth | preprocess | train | calibrate | detect |
 evaluate | sweep | gradcheck.
 
-Stages hand off through declared files only (CSV/JSON). Options resolve as
-defaults < JSON config file < FLOWSENTRY_* environment variables < flags,
-and every report embeds the resolved configuration for provenance.
+Stages hand off through declared files only (CSV/JSON). Each subcommand
+takes only the option keys it reads; they resolve as defaults < JSON config
+file < flags, and each artifact records the resolved keys of its own stage.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -32,82 +34,78 @@ from .windowing import WindowConfig, make_windows
 
 logger = logging.getLogger(__name__)
 
-ENV_PREFIX = "FLOWSENTRY_"
 
-DEFAULTS: dict = {
-    "features": list(DEFAULT_FEATURES),
-    "label_col": "Label",
-    "train_frac": 0.8,
-    "attack_frac": 0.005,
-    "window": 10,
-    "units": 16,
-    "dropout": 0.2,
-    "epochs": 30,
-    "batch": 64,
-    "lr": 0.001,
-    "seed": 0,
+def _column_names(value) -> list[str]:
+    """Column names from a comma-separated string or a list of strings."""
+    names = value.split(",") if isinstance(value, str) else value
+    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+        raise ValueError(f"expected comma-separated names or a list of strings, got {value!r}")
+    return [v.strip() for v in names if v.strip()]
+
+
+# Every option key a stage may read, as (type, default, help). A stage takes a
+# key from its flag, else from the --config file, else from this default.
+KEYS: dict[str, tuple[Callable, object, str]] = {
+    "features": (_column_names, DEFAULT_FEATURES, "comma-separated feature column names"),
+    "label_col": (str, "Label", "label column name"),
+    "train_frac": (float, 0.8, "share of benign rows used for training"),
+    "attack_frac": (float, 0.005, "share of attack rows sampled into the test set"),
+    "window": (int, 10, "window length t in records"),
+    "units": (int, 16, "LSTM units per layer"),
+    "dropout": (float, 0.2, "dropout rate during training"),
+    "epochs": (int, 30, "training epochs"),
+    "batch": (int, 64, "mini-batch size"),
+    "lr": (float, 0.001, "Adam learning rate"),
+    "seed": (int, 0, "random seed"),
 }
 
 
-def _coerce(key: str, value) -> object:
-    if key == "features":
-        if isinstance(value, str):
-            value = [v.strip() for v in value.split(",") if v.strip()]
-        return list(value)
-    if key == "label_col":
-        return str(value)
-    if key in ("window", "units", "epochs", "batch", "seed"):
-        return int(value)
-    return float(value)
+def add_keys(p: argparse.ArgumentParser, *keys: str) -> None:
+    """Give a subcommand the flags of `keys`, the only table keys it resolves."""
+    for key in keys:
+        kind, default, text = KEYS[key]
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                       help=f"{text} (default {default})")
+    p.set_defaults(keys=keys)
+
+
+def _read_config(path: str) -> dict:
+    """The table keys in a JSON config file, each converted by its type."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"cannot read config file {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ParameterError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{path}: a config file must hold a JSON object")
+    config = {}
+    for key, value in doc.items():
+        if key not in KEYS:
+            raise ParameterError(f"{path}: unknown config key {key!r}")
+        kind = KEYS[key][0]
+        try:  # int() would turn 3.9 into 3 and true into 1
+            if isinstance(value, bool) or (kind is int and isinstance(value, float)):
+                raise ValueError(f"got {value!r}")
+            config[key] = kind(value)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"{path}: bad value for {key!r}: {exc}") from exc
+    return config
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < environment < command line."""
-    cfg = dict(DEFAULTS)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise DataError(f"cannot read config file {config_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"{config_path}: not valid JSON ({exc})") from exc
-        unknown = set(doc) - set(DEFAULTS)
-        if unknown:
-            raise ParameterError(
-                f"{config_path}: unknown config key(s): {', '.join(sorted(unknown))}"
-            )
-        for key, value in doc.items():
-            cfg[key] = _coerce(key, value)
-    for key in DEFAULTS:
-        env_value = os.environ.get(ENV_PREFIX + key.upper())
-        if env_value is not None:
-            cfg[key] = _coerce(key, env_value)
-    for key in DEFAULTS:
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            cfg[key] = _coerce(key, cli_value)
+    """The subcommand's own keys: defaults < config file < command line."""
+    cfg = {key: KEYS[key][1] for key in args.keys}
+    if args.config:
+        cfg.update((k, v) for k, v in _read_config(args.config).items() if k in cfg)
+    cfg.update((k, getattr(args, k)) for k in args.keys if getattr(args, k) is not None)
     return cfg
 
 
-def _feature_spec(cfg: dict) -> FeatureSpec:
-    return FeatureSpec(names=tuple(cfg["features"]), label_column=cfg["label_col"])
-
-
-def _spec_for_scaler(
-    cfg: dict, args: argparse.Namespace, scaler: ingest.Scaler
-) -> FeatureSpec:
-    """Feature columns for scoring: the scaler's own names win unless the
-    user asked for something explicitly."""
-    if getattr(args, "features", None) is None and scaler.feature_names:
-        return FeatureSpec(names=scaler.feature_names, label_column=cfg["label_col"])
-    return _feature_spec(cfg)
-
-
-def _model_config(cfg: dict, features: int | None = None) -> autoencoder.ModelConfig:
+def _model_config(cfg: dict, features: int) -> autoencoder.ModelConfig:
     return autoencoder.ModelConfig(
         timesteps=cfg["window"],
-        features=len(cfg["features"]) if features is None else features,
+        features=features,
         units=cfg["units"],
         dropout=cfg["dropout"],
         epochs=cfg["epochs"],
@@ -131,7 +129,7 @@ def _load_labeled_rows(path: str, spec: FeatureSpec, want_label: int, side: str)
 
 
 def cmd_synth(args: argparse.Namespace, cfg: dict) -> int:
-    spec = _feature_spec(cfg)
+    spec = FeatureSpec(cfg["features"], cfg["label_col"])
     config = synth.SynthConfig(
         n_benign=args.benign,
         n_attack=args.attack,
@@ -149,7 +147,7 @@ def cmd_synth(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def cmd_preprocess(args: argparse.Namespace, cfg: dict) -> int:
-    spec = _feature_spec(cfg)
+    spec = FeatureSpec(cfg["features"], cfg["label_col"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     benign = _load_labeled_rows(args.benign, spec, 0, "benign")
@@ -169,7 +167,9 @@ def cmd_preprocess(args: argparse.Namespace, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _scaled_matrix(path: str, spec: FeatureSpec, scaler: ingest.Scaler) -> np.ndarray:
+def _scaled_matrix(path: str, scaler: ingest.Scaler, cfg: dict) -> np.ndarray:
+    """The scaler's feature columns of a CSV, scaled."""
+    spec = FeatureSpec(scaler.feature_names, cfg["label_col"])
     ds = ingest.to_dataset(ingest.parse_csv(path, spec))
     if ds.n == 0:
         raise DataError(f"{path}: no usable rows")
@@ -177,17 +177,10 @@ def _scaled_matrix(path: str, spec: FeatureSpec, scaler: ingest.Scaler) -> np.nd
 
 
 def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
-    scaler = ingest.load_scaler(args.scaler) if args.scaler else None
-    spec = _spec_for_scaler(cfg, args, scaler) if scaler else _feature_spec(cfg)
-    ds = ingest.to_dataset(ingest.parse_csv(args.input, spec))
-    if ds.n == 0:
-        raise DataError(f"{args.input}: no usable rows")
-    if scaler is None:
-        scaler = ingest.fit_scaler(ds.matrix, spec.names)
-        logger.info("train: no --scaler given, fitted min-max on the training input")
-    scaled = ingest.apply_scaler(ds.matrix, scaler)
+    scaler = ingest.load_scaler(args.scaler)
+    scaled = _scaled_matrix(args.input, scaler, cfg)
     windows = make_windows(scaled, WindowConfig(timesteps=cfg["window"]))
-    weights = autoencoder.build(_model_config(cfg, features=spec.m))
+    weights = autoencoder.build(_model_config(cfg, features=scaler.m))
     weights, report = autoencoder.train(weights, windows)
     autoencoder.save(weights, args.out)
     if args.history:
@@ -214,8 +207,7 @@ def _load_model(path: str) -> tuple[autoencoder.ModelWeights, str]:
 def cmd_calibrate(args: argparse.Namespace, cfg: dict) -> int:
     weights, model_sha256 = _load_model(args.model)
     scaler = ingest.load_scaler(args.scaler)
-    spec = _spec_for_scaler(cfg, args, scaler)
-    scaled = _scaled_matrix(args.input, spec, scaler)
+    scaled = _scaled_matrix(args.input, scaler, cfg)
     window = WindowConfig(timesteps=weights.config.timesteps)
     scores = anomaly.score_matrix(scaled, weights, window)
     threshold = anomaly.calibrate(scores)
@@ -223,7 +215,8 @@ def cmd_calibrate(args: argparse.Namespace, cfg: dict) -> int:
         threshold=threshold,
         scaler=scaler,
         window=window,
-        model_path=str(args.model),
+        # relative to the threshold file, so the pair can move together
+        model_path=os.path.relpath(args.model, Path(args.out).parent),
         model_sha256=model_sha256,
         provenance={
             "training_fingerprint": anomaly.training_fingerprint(scaled),
@@ -237,14 +230,14 @@ def cmd_calibrate(args: argparse.Namespace, cfg: dict) -> int:
 
 def cmd_detect(args: argparse.Namespace, cfg: dict) -> int:
     tm = anomaly.load_threshold(args.thresholds)
-    model_path = args.model or tm.model_path
+    model_path = args.model or Path(args.thresholds).parent / tm.model_path
     weights, model_sha256 = _load_model(model_path)
     if model_sha256 != tm.model_sha256:
         raise DataError(
             f"{model_path} (sha256 {model_sha256[:12]}) is not the model "
             f"{args.thresholds} was calibrated with (sha256 {tm.model_sha256[:12]})"
         )
-    spec = _spec_for_scaler(cfg, args, tm.scaler)
+    spec = FeatureSpec(tm.scaler.feature_names, cfg["label_col"])
     result = anomaly.detect(args.input, tm, weights, spec)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("row_index,score,verdict,label\n")
@@ -292,27 +285,31 @@ def _evaluate_arrays(
     return report
 
 
-def _read_epoch_seconds(path: str) -> list[float]:
-    """The `epoch_seconds` list of a training history file, empty if absent."""
+def _read_history(path: str) -> tuple[dict, list[float]]:
+    """The `config` and `epoch_seconds` of a training history file, empty if absent."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DataError(f"cannot read history file {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise DataError(f"{path}: not a valid history JSON file ({exc})") from exc
-    times = doc.get("epoch_seconds", []) if isinstance(doc, dict) else None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: a history file must hold a JSON object")
+    config, times = doc.get("config", {}), doc.get("epoch_seconds", [])
+    if not isinstance(config, dict):
+        raise DataError(f"{path}: config must be a JSON object")
     if not isinstance(times, list) or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in times
     ):
         raise DataError(f"{path}: epoch_seconds must be a list of numbers")
-    return times
+    return config, times
 
 
 def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
     scores, verdicts, labels = _read_verdicts(args.verdicts)
-    metadata = {"config": cfg, "seed": cfg["seed"], "verdicts": str(args.verdicts)}
+    metadata: dict = {"verdicts": str(args.verdicts)}
     if args.history:
-        times = _read_epoch_seconds(args.history)
+        metadata["config"], times = _read_history(args.history)
         if times:
             metadata["epoch_time_mean"] = float(np.mean(times))
             metadata["epoch_time_std"] = float(np.std(times))
@@ -339,7 +336,7 @@ def _run_sweep_cell(
     scaler = ingest.fit_scaler(train_ds.matrix, spec.names)
     scaled_train = ingest.apply_scaler(train_ds.matrix, scaler)
     window = WindowConfig(timesteps=cfg["window"])
-    weights = autoencoder.build(_model_config(cfg))
+    weights = autoencoder.build(_model_config(cfg, features=spec.m))
     weights, train_report = autoencoder.train(weights, make_windows(scaled_train, window))
     threshold = anomaly.calibrate(anomaly.score_matrix(scaled_train, weights, window))
 
@@ -349,10 +346,6 @@ def _run_sweep_cell(
     verdicts = anomaly.classify(scores, threshold)
     metadata = {
         "config": cfg,
-        "seed": cfg["seed"],
-        "window": cfg["window"],
-        "batch_size": cfg["batch"],
-        "learning_rate": cfg["lr"],
         "threshold": threshold,
         "epoch_time_mean": float(np.mean(train_report.epoch_seconds)),
         "epoch_time_std": float(np.std(train_report.epoch_seconds)),
@@ -361,16 +354,13 @@ def _run_sweep_cell(
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
-    spec = _feature_spec(cfg)
+    spec = FeatureSpec(cfg["features"], cfg["label_col"])
     benign = _load_labeled_rows(args.benign, spec, 0, "benign")
     attacks = _load_labeled_rows(args.attacks, spec, 1, "attack")
-    windows = [int(v) for v in args.windows.split(",") if v]
-    batches = [int(v) for v in args.batches.split(",") if v]
-    lrs = [float(v) for v in args.lrs.split(",") if v]
     reports = []
-    for window in windows:
-        for batch in batches:
-            for lr in lrs:
+    for window in args.windows:
+        for batch in args.batches:
+            for lr in args.lrs:
                 cell_cfg = dict(cfg, window=window, batch=batch, lr=lr)
                 logger.info("sweep cell: window=%d batch=%d lr=%g", window, batch, lr)
                 reports.append(_run_sweep_cell(benign, attacks, spec, cell_cfg))
@@ -380,7 +370,9 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace, cfg: dict) -> int:
-    config = _model_config(cfg)
+    config = autoencoder.ModelConfig(
+        timesteps=cfg["window"], features=len(cfg["features"]), units=cfg["units"], seed=cfg["seed"]
+    )
     weights = autoencoder.build(config)
     rng = np.random.default_rng([cfg["seed"], 2])
     x = rng.uniform(0.0, 1.0, size=(args.windows, config.timesteps, config.features))
@@ -407,29 +399,32 @@ def cmd_gradcheck(args: argparse.Namespace, cfg: dict) -> int:
     return EXIT_OK if report.passed else EXIT_NUMERIC
 
 
+def _list_of(kind: Callable) -> Callable:
+    def parse(text: str) -> list:
+        values = [kind(v) for v in text.split(",") if v]
+        if not values:
+            raise ValueError("empty list")
+        return values
+
+    parse.__name__ = f"comma-separated {kind.__name__} list"  # argparse's error names it
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowsentry",
         description="Reconstruction-based anomaly detection for DDoS flow traffic.",
+        allow_abbrev=False,
     )
-    parser.add_argument("--config", help="JSON config file mirroring the run options")
+    parser.add_argument(
+        "--config", help="JSON file of option keys; each subcommand applies the keys it takes"
+    )
     parser.add_argument("--verbose", action="store_true", help="log at DEBUG level")
     sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching, so sweep's --window cannot pass for --windows
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--features", help="comma-separated feature column names")
-        p.add_argument("--label-col", dest="label_col", help="label column name")
-        p.add_argument("--train-frac", dest="train_frac", type=float)
-        p.add_argument("--attack-frac", dest="attack_frac", type=float)
-        p.add_argument("--window", type=int, help="window length in records")
-        p.add_argument("--units", type=int)
-        p.add_argument("--dropout", type=float)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("synth", help="generate synthetic benign/attack CSVs")
+    p = add_parser("synth", help="generate synthetic benign/attack CSVs")
     p.add_argument("--benign", type=int, default=2000, help="benign row count")
     p.add_argument("--attack", type=int, default=500, help="attack row count")
     p.add_argument("--shift", type=float, default=5.0, help="attack mean offset in noise sigmas")
@@ -437,65 +432,66 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period", type=float, default=50.0)
     p.add_argument("--sigma", type=float, default=0.05)
     p.add_argument("--out", required=True, help="output directory")
-    add_common(p)
+    add_keys(p, "features", "label_col", "seed")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("preprocess", help="split benign, fit scaler, assemble test set")
+    p = add_parser("preprocess", help="split benign, fit scaler, assemble test set")
     p.add_argument("--benign", required=True, help="benign flow CSV")
     p.add_argument("--attacks", required=True, help="attack flow CSV")
     p.add_argument("--out", required=True, help="output directory")
-    add_common(p)
+    add_keys(p, "features", "label_col", "train_frac", "attack_frac", "seed")
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("train", help="train the autoencoder on benign windows")
+    p = add_parser("train", help="train the autoencoder on benign windows")
     p.add_argument("--input", required=True, help="benign training CSV")
-    p.add_argument("--scaler", help="scaler JSON fitted on this training split")
+    p.add_argument("--scaler", required=True, help="scaler JSON fitted on this training split")
     p.add_argument("--out", required=True, help="model JSON output path")
     p.add_argument("--history", help="optional per-epoch loss/timing JSON")
-    add_common(p)
+    add_keys(p, "label_col", "window", "units", "dropout", "epochs", "batch", "lr", "seed")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("calibrate", help="set the threshold from training scores")
+    p = add_parser("calibrate", help="set the threshold from training scores")
     p.add_argument("--model", required=True)
     p.add_argument("--scaler", required=True)
     p.add_argument("--input", required=True, help="benign training CSV")
     p.add_argument("--out", required=True, help="threshold JSON output path")
-    add_common(p)
+    add_keys(p, "label_col")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("detect", help="score a CSV and emit verdicts")
+    p = add_parser("detect", help="score a CSV and emit verdicts")
     p.add_argument("--model", help="model JSON (defaults to the path in the threshold file)")
     p.add_argument("--thresholds", required=True, help="threshold JSON")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True, help="verdicts CSV output path")
-    add_common(p)
+    add_keys(p, "label_col")
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("evaluate", help="metrics from a verdicts CSV")
+    p = add_parser("evaluate", help="metrics from a verdicts CSV")
     p.add_argument("--verdicts", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
     p.add_argument("--roc-points", dest="roc_points", help="optional ROC points CSV")
-    p.add_argument("--history", help="training history JSON to pull epoch timings from")
-    add_common(p)
+    p.add_argument("--history", help="training history JSON: its config and epoch timings")
+    add_keys(p)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="cross-product of window/batch/lr cells")
+    p = add_parser("sweep", help="cross-product of window/batch/lr cells")
     p.add_argument("--benign", required=True)
     p.add_argument("--attacks", required=True)
-    p.add_argument("--windows", default="10,50,100")
-    p.add_argument("--batches", default="10,32,64")
-    p.add_argument("--lrs", default="0.001,0.0001,0.00001")
+    p.add_argument("--windows", type=_list_of(int), default="10,50,100")
+    p.add_argument("--batches", type=_list_of(int), default="10,32,64")
+    p.add_argument("--lrs", type=_list_of(float), default="0.001,0.0001,0.00001")
     p.add_argument("--out", required=True, help="sweep CSV output path")
-    add_common(p)
+    add_keys(p, "features", "label_col", "train_frac", "attack_frac", "units", "dropout",
+             "epochs", "seed")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of the gradients")
+    p = add_parser("gradcheck", help="finite-difference check of the gradients")
     p.add_argument("--samples", type=int, default=256, help="parameters to sample (>= 200)")
     p.add_argument("--tolerance", type=float, default=1e-5)
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--windows", type=int, default=4, help="random windows in the check batch")
-    add_common(p)
+    add_keys(p, "features", "window", "units", "seed")
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

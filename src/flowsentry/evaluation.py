@@ -196,10 +196,8 @@ def roc_points(scores, labels) -> list[tuple[float, float, float]]:
 
 
 def _markdown_table(report: MetricsReport) -> str:
-    meta = report.metadata
-    window = meta.get("window", meta.get("config", {}).get("window", ""))
     cells = [
-        str(window),
+        str(report.metadata.get("config", {}).get("window", "")),
         f"{100 * report.accuracy:.2f}",
         f"{100 * report.precision:.2f}",
         f"{100 * report.recall:.2f}",
@@ -225,10 +223,10 @@ def _csv_row(report: MetricsReport) -> dict[str, str]:
         "fp": str(report.counts.fp),
         "fn": str(report.counts.fn),
         "degenerate": ";".join(report.degenerate),
-        "window": str(meta.get("window", config.get("window", ""))),
-        "batch_size": str(meta.get("batch_size", config.get("batch", ""))),
-        "learning_rate": str(meta.get("learning_rate", config.get("lr", ""))),
-        "seed": str(meta.get("seed", config.get("seed", ""))),
+        "window": str(config.get("window", "")),
+        "batch_size": str(config.get("batch", "")),
+        "learning_rate": str(config.get("lr", "")),
+        "seed": str(config.get("seed", "")),
         "epoch_time_mean": str(meta.get("epoch_time_mean", "")),
         "epoch_time_std": str(meta.get("epoch_time_std", "")),
     }

@@ -251,13 +251,33 @@ def assemble_test_set(
     return Dataset(matrix, labels)
 
 
-def save_scaler(scaler: Scaler, path: str | Path) -> None:
-    doc = {
+def scaler_to_doc(scaler: Scaler) -> dict:
+    """The JSON form of a scaler, as scaler.json and th.json store it."""
+    return {
         "version": SCALER_FILE_VERSION,
         "feature_names": list(scaler.feature_names),
         "min": scaler.min.tolist(),
         "max": scaler.max.tolist(),
     }
+
+
+def scaler_from_doc(doc, path: str | Path) -> Scaler:
+    """Inverse of `scaler_to_doc`. The feature names are required: every stage
+    after preprocess reads its columns from them."""
+    try:
+        if doc["version"] != SCALER_FILE_VERSION:
+            raise ModelFormatError(f"{path}: unsupported scaler version {doc['version']!r}")
+        names = tuple(doc["feature_names"])
+        scaler = Scaler(np.array(doc["min"], dtype=float), np.array(doc["max"], dtype=float), names)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: malformed scaler ({exc!r})") from exc
+    if not names:
+        raise ModelFormatError(f"{path}: the scaler names no feature columns")
+    return scaler
+
+
+def save_scaler(scaler: Scaler, path: str | Path) -> None:
+    doc = scaler_to_doc(scaler)
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
@@ -268,18 +288,7 @@ def load_scaler(path: str | Path) -> Scaler:
         raise DataError(f"cannot read scaler file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
-    if doc.get("version") != SCALER_FILE_VERSION:
-        raise ModelFormatError(
-            f"{path}: unsupported scaler file version {doc.get('version')!r}"
-        )
-    try:
-        return Scaler(
-            np.array(doc["min"], dtype=float),
-            np.array(doc["max"], dtype=float),
-            tuple(doc.get("feature_names", ())),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{path}: malformed scaler file ({exc})") from exc
+    return scaler_from_doc(doc, path)
 
 
 def write_csv(

@@ -10,8 +10,8 @@ and one bias ``b`` of shape (4 * units,). Column blocks are ordered
 [f, i, o, g], so the three sigmoid gates are contiguous. The input rows
 ``w[units:]`` are applied to the whole sequence in one product before the
 time loop; only the recurrent rows ``w[:units]`` are applied per step.
-Layer functions accept one sequence (t, d) or a batch (b, t, d); gradients
-mirror the input shapes.
+Layer functions take a batch of sequences (b, t, d); gradients mirror the
+input shapes.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ class LayerCache(NamedTuple):
     cs: np.ndarray  # (t+1, u, b) cell states, cs[0] = 0
     gates: np.ndarray  # (t, 4u, b) activations [f, i, o, g]
     return_sequences: bool
-    squeeze: bool  # input arrived as a single (t, d) sequence
 
 
 def lstm_cell_forward(
@@ -122,19 +121,16 @@ def lstm_layer_forward(
 ) -> tuple[np.ndarray, LayerCache | None]:
     """Run the cell over a sequence from a zero state.
 
-    seq: (t, input_dim) or (b, t, input_dim). An input repeated along time
-    (a stride-0 view, as the decoder receives) is projected once, not t times.
-    Returns all hidden states (..., t, units) when return_sequences, else the
-    final hidden state (..., units), plus the cache for the backward pass;
+    seq: (b, t, input_dim). An input repeated along time (a stride-0 view, as
+    the decoder receives) is projected once, not t times. Returns all hidden
+    states (b, t, units) when return_sequences, else the final hidden state
+    (b, units), plus the cache for the backward pass;
     with keep_cache=False the states live in two-slot buffers and the cache
     is None.
     """
     x = np.asarray(seq, dtype=float)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x[None]
     if x.ndim != 3:
-        raise ShapeError(f"sequence must be rank 2 or 3, got ndim={x.ndim}")
+        raise ShapeError(f"sequence must be rank 3, got ndim={x.ndim}")
     if x.shape[-1] != params.input_dim:
         raise ShapeError(
             f"sequence has {x.shape[-1]} feature(s), layer expects {params.input_dim}"
@@ -166,9 +162,7 @@ def lstm_layer_forward(
             params, z, hs[j % nh], cs[j % nc], hs[(j + 1) % nh], cs[(j + 1) % nc], tc
         )
     out = hs[1:].transpose(2, 0, 1) if return_sequences else hs[t % nh].T
-    if squeeze:
-        out = out[0]
-    cache = LayerCache(xs, hs, cs, gates, return_sequences, squeeze) if keep_cache else None
+    cache = LayerCache(xs, hs, cs, gates, return_sequences) if keep_cache else None
     return out, cache
 
 
@@ -177,9 +171,9 @@ def lstm_layer_backward(
 ) -> tuple[LstmParams, np.ndarray]:
     """Reverse-time accumulation of gradients through the cached forward pass.
 
-    d_out matches the forward output: (..., t, units) when the forward
-    returned sequences, else (..., units) applied at the final step.
-    Returns (parameter gradients, input-sequence gradients (..., t, input_dim));
+    d_out matches the forward output: (b, t, units) when the forward
+    returned sequences, else (b, units) applied at the final step.
+    Returns (parameter gradients, input-sequence gradients (b, t, input_dim));
     the parameter gradients overwrite `out` when it is given.
     """
     if cache is None:
@@ -187,8 +181,6 @@ def lstm_layer_backward(
     t, _, b = cache.gates.shape
     u, d = params.units, params.input_dim
     d_up = np.asarray(d_out, dtype=float)
-    if cache.squeeze:
-        d_up = d_up[None]
     expected = (b, t, u) if cache.return_sequences else (b, u)
     if d_up.shape != expected:
         raise ShapeError(
@@ -239,8 +231,6 @@ def lstm_layer_backward(
     np.sum(np.matmul(cache.x.transpose(1, 2, 0), dz_x), axis=0, out=grads.w[u:])
     np.sum(dz, axis=(0, 2), out=grads.b)
     d_x = np.matmul(dz_b, params.w[u:].T).transpose(1, 0, 2)
-    if cache.squeeze:
-        d_x = d_x[0]
     return grads, d_x
 
 

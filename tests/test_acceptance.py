@@ -303,10 +303,10 @@ PIPELINE = [
     ["train", "--input", "prep/train.csv", "--scaler", "prep/scaler.json", "--epochs", "8",
      "--seed", "7", "--out", "model.json"],
     ["calibrate", "--model", "model.json", "--scaler", "prep/scaler.json",
-     "--input", "prep/train.csv", "--seed", "7", "--out", "th.json"],
+     "--input", "prep/train.csv", "--out", "th.json"],
     ["detect", "--model", "model.json", "--thresholds", "th.json",
-     "--input", "prep/test.csv", "--seed", "7", "--out", "verdicts.csv"],
-    ["evaluate", "--verdicts", "verdicts.csv", "--seed", "7", "--out", "report.json"],
+     "--input", "prep/test.csv", "--out", "verdicts.csv"],
+    ["evaluate", "--verdicts", "verdicts.csv", "--out", "report.json"],
 ]
 PIPELINE_OUTPUTS = ("model.json", "th.json", "verdicts.csv", "report.json")
 

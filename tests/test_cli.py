@@ -1,11 +1,13 @@
 import csv
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from flowsentry.cli import main
+from flowsentry import ingest
+from flowsentry.cli import build_parser, main
 
 FAST = [
     "--sigma", "0.5", "--amplitude", "0.5", "--period", "300",
@@ -14,6 +16,21 @@ FAST = [
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def exit_code(*argv) -> int:
+    """`run`, with an argparse usage error returned as its exit code."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def write_scaler(path):
+    """A scaler over the default feature columns, as preprocess writes one."""
+    m = len(ingest.DEFAULT_FEATURES)
+    ingest.save_scaler(ingest.Scaler(np.zeros(m), np.ones(m), ingest.DEFAULT_FEATURES), path)
+    return path
 
 
 @pytest.fixture()
@@ -33,10 +50,10 @@ def pipeline_dir(tmp_path, monkeypatch):
                "--history", tmp_path / "history.json") == 0
     assert run("calibrate", "--model", tmp_path / "model.json",
                "--scaler", prep / "scaler.json", "--input", prep / "train.csv",
-               "--seed", 11, "--out", tmp_path / "th.json") == 0
+               "--out", tmp_path / "th.json") == 0
     assert run("detect", "--model", tmp_path / "model.json",
                "--thresholds", tmp_path / "th.json", "--input", prep / "test.csv",
-               "--seed", 11, "--out", tmp_path / "verdicts.csv") == 0
+               "--out", tmp_path / "verdicts.csv") == 0
     return tmp_path
 
 
@@ -59,12 +76,13 @@ class TestPipeline:
         report_path = pipeline_dir / "report.json"
         roc_path = pipeline_dir / "roc.csv"
         assert run("evaluate", "--verdicts", pipeline_dir / "verdicts.csv",
-                   "--seed", 11, "--out", report_path,
+                   "--out", report_path,
                    "--roc-points", roc_path,
                    "--history", pipeline_dir / "history.json") == 0
         doc = json.loads(report_path.read_text())
         assert doc["accuracy"] >= 0.95
         assert doc["precision"] >= 0.99
+        # the training config, as train wrote it into history.json
         assert doc["metadata"]["config"]["seed"] == 11
         assert "epoch_time_mean" in doc["metadata"]
         assert roc_path.read_text().startswith("threshold,fpr,tpr")
@@ -74,6 +92,22 @@ class TestPipeline:
         assert run("evaluate", "--verdicts", pipeline_dir / "verdicts.csv",
                    "--out", out, "--format", "markdown") == 0
         assert out.read_text().startswith("| Window | Acc | Pre | Re | F1 |")
+
+    def test_markdown_window_is_the_trained_window(self, pipeline_dir):
+        prep = pipeline_dir / "prep"
+        w20 = pipeline_dir / "w20"
+        w20.mkdir()
+        assert run("train", "--input", prep / "train.csv", "--scaler", prep / "scaler.json",
+                   "--window", 20, "--epochs", 1, "--seed", 11, "--out", w20 / "model.json",
+                   "--history", w20 / "history.json") == 0
+        assert run("calibrate", "--model", w20 / "model.json", "--scaler", prep / "scaler.json",
+                   "--input", prep / "train.csv", "--out", w20 / "th.json") == 0
+        assert run("detect", "--thresholds", w20 / "th.json", "--input", prep / "test.csv",
+                   "--out", w20 / "verdicts.csv") == 0
+        out = w20 / "report.md"
+        assert run("evaluate", "--verdicts", w20 / "verdicts.csv", "--out", out,
+                   "--format", "markdown", "--history", w20 / "history.json") == 0
+        assert out.read_text().splitlines()[2].startswith("| 20 |")
 
     def test_single_class_verdicts_degrade_auc_gracefully(self, pipeline_dir):
         # verdicts from a benign-only file have one label class: AUC is
@@ -107,10 +141,9 @@ class TestPipeline:
                    "--scaler", prep / "scaler.json", "--epochs", 8, "--seed", 11,
                    "--out", model2) == 0
         assert run("calibrate", "--model", model2, "--scaler", prep / "scaler.json",
-                   "--input", prep / "train.csv", "--seed", 11, "--out", th2) == 0
+                   "--input", prep / "train.csv", "--out", th2) == 0
         assert run("detect", "--model", model2, "--thresholds", th2,
-                   "--input", prep / "test.csv", "--seed", 11,
-                   "--out", verdicts2) == 0
+                   "--input", prep / "test.csv", "--out", verdicts2) == 0
         model_a = json.loads((pipeline_dir / "model.json").read_text())
         model_b = json.loads(model2.read_text())
         assert model_a == model_b
@@ -118,7 +151,6 @@ class TestPipeline:
         th_a = json.loads((pipeline_dir / "th.json").read_text())
         th_b = json.loads(th2.read_text())
         th_a.pop("model"), th_b.pop("model")
-        th_a["provenance"].pop("config"), th_b["provenance"].pop("config")
         assert th_a == th_b
         assert (pipeline_dir / "verdicts.csv").read_bytes() == verdicts2.read_bytes()
 
@@ -142,6 +174,26 @@ class TestArtifactVersions:
         assert run("detect", "--thresholds", pipeline_dir / "th.json",
                    "--input", pipeline_dir / "prep" / "test.csv", "--out", out) == 0
         assert out.read_bytes() == (pipeline_dir / "verdicts.csv").read_bytes()
+
+    def test_detect_resolves_the_stored_model_path_against_th_json(
+        self, pipeline_dir, monkeypatch
+    ):
+        # th.json stores the model path relative to itself, so detect finds
+        # the model from a directory that holds no model.json
+        th = json.loads((pipeline_dir / "th.json").read_text())
+        assert th["model"] == "model.json"
+        prep = pipeline_dir / "prep"
+        run_dir, elsewhere = pipeline_dir / "run", pipeline_dir / "elsewhere"
+        run_dir.mkdir()
+        elsewhere.mkdir()
+        shutil.copy(pipeline_dir / "model.json", run_dir / "model.json")
+        monkeypatch.chdir(run_dir)
+        assert run("calibrate", "--model", "model.json", "--scaler", prep / "scaler.json",
+                   "--input", prep / "train.csv", "--out", "th.json") == 0
+        monkeypatch.chdir(elsewhere)
+        assert run("detect", "--thresholds", "../run/th.json",
+                   "--input", prep / "test.csv", "--out", "verdicts.csv") == 0
+        assert (elsewhere / "verdicts.csv").read_bytes() == (pipeline_dir / "verdicts.csv").read_bytes()
 
     def test_detect_refuses_a_model_with_another_hash(self, pipeline_dir, capsys):
         prep = pipeline_dir / "prep"
@@ -202,12 +254,11 @@ class TestSweep:
 
 
 class TestConfigResolution:
-    def test_config_file_env_and_flag_precedence(self, tmp_path, monkeypatch, capsys):
+    def test_config_file_and_flag_precedence(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"seed": 100, "epochs": 7}))
-        monkeypatch.setenv("FLOWSENTRY_SEED", "200")
         data = tmp_path / "data"
-        # flag beats env beats file
+        # the flag beats the file
         assert run("--config", config, "synth", "--benign", 50, "--attack", 10,
                    "--seed", 300, "--out", data) == 0
         a = (data / "benign.csv").read_bytes()
@@ -215,9 +266,9 @@ class TestConfigResolution:
                    "--out", data) == 0
         assert (data / "benign.csv").read_bytes() == a
 
-        monkeypatch.delenv("FLOWSENTRY_SEED")
+        # the file beats the default; synth ignores the file's epochs
         assert run("--config", config, "synth", "--benign", 50, "--attack", 10,
-                   "--out", data) == 0  # file seed 100 applies
+                   "--out", data) == 0
         b = (data / "benign.csv").read_bytes()
         assert run("synth", "--seed", 100, "--benign", 50, "--attack", 10,
                    "--out", data) == 0
@@ -228,20 +279,104 @@ class TestConfigResolution:
         config.write_text(json.dumps({"learning": 1}))
         assert run("--config", config, "gradcheck") == 2
 
-    def test_env_override_changes_behavior(self, tmp_path, monkeypatch):
-        data = tmp_path / "data"
+    def test_environment_variables_are_ignored(self, tmp_path, monkeypatch):
+        def outputs(root):
+            assert run("synth", "--benign", 60, "--attack", 10, "--seed", 4,
+                       "--out", root, *FAST) == 0
+            assert run("train", "--input", root / "benign.csv",
+                       "--scaler", write_scaler(root / "scaler.json"), "--epochs", 1,
+                       "--out", root / "model.json") == 0
+            return [(root / name).read_bytes() for name in ("benign.csv", "model.json")]
+
+        plain = outputs(tmp_path / "plain")
         monkeypatch.setenv("FLOWSENTRY_SEED", "77")
-        assert run("synth", "--benign", 50, "--attack", 10, "--out", data) == 0
-        with_env = (data / "benign.csv").read_bytes()
-        monkeypatch.delenv("FLOWSENTRY_SEED")
-        assert run("synth", "--benign", 50, "--attack", 10, "--seed", 77,
-                   "--out", data) == 0
-        assert (data / "benign.csv").read_bytes() == with_env
+        monkeypatch.setenv("FLOWSENTRY_UNITS", "3")
+        assert outputs(tmp_path / "env") == plain
+
+    def test_each_artifact_records_its_own_stage_keys(self, pipeline_dir):
+        history = json.loads((pipeline_dir / "history.json").read_text())
+        assert history["config"] == {
+            "label_col": "Label", "window": 10, "units": 16, "dropout": 0.2,
+            "epochs": 8, "batch": 64, "lr": 0.001, "seed": 11,
+        }
+        th = json.loads((pipeline_dir / "th.json").read_text())
+        assert th["provenance"]["config"] == {"label_col": "Label"}
+
+
+# The option keys each subcommand reads; every other key of the table must
+# fail to parse there.
+ALL_KEYS = ("features", "label_col", "train_frac", "attack_frac", "window", "units",
+            "dropout", "epochs", "batch", "lr", "seed")
+STAGES = {
+    "synth": (["--out", "d"], ("features", "label_col", "seed")),
+    "preprocess": (["--benign", "b", "--attacks", "a", "--out", "d"],
+                   ("features", "label_col", "train_frac", "attack_frac", "seed")),
+    "train": (["--input", "i", "--scaler", "s", "--out", "o"],
+              ("label_col", "window", "units", "dropout", "epochs", "batch", "lr", "seed")),
+    "calibrate": (["--model", "m", "--scaler", "s", "--input", "i", "--out", "o"],
+                  ("label_col",)),
+    "detect": (["--thresholds", "t", "--input", "i", "--out", "o"], ("label_col",)),
+    "evaluate": (["--verdicts", "v", "--out", "o"], ()),
+    "sweep": (["--benign", "b", "--attacks", "a", "--out", "o"],
+              ("features", "label_col", "train_frac", "attack_frac", "units", "dropout",
+               "epochs", "seed")),
+    "gradcheck": ([], ("features", "window", "units", "seed")),
+}
+VALUES = {"features": "A,B", "label_col": "Kind", "train_frac": "0.5", "attack_frac": "0.5",
+          "window": "3", "units": "2", "dropout": "0.1", "epochs": "2", "batch": "8",
+          "lr": "0.01", "seed": "5"}
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize("command,key", [
+        (c, k) for c, (_, keys) in STAGES.items() for k in ALL_KEYS if k not in keys
+    ])
+    def test_a_key_the_subcommand_does_not_read_is_a_usage_error(self, command, key, capsys):
+        required, _ = STAGES[command]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, *required, flag(key), VALUES[key]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag(key)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key", [
+        (c, k) for c, (_, keys) in STAGES.items() for k in keys
+    ])
+    def test_a_key_the_subcommand_reads_parses(self, command, key):
+        required, _ = STAGES[command]
+        args = build_parser().parse_args([command, *required, flag(key), VALUES[key]])
+        expected = VALUES[key].split(",") if key == "features" else VALUES[key]
+        assert str(getattr(args, key)) == str(expected)
+
+    @pytest.mark.parametrize("config,argv", [
+        ({"seed": "abc"}, ["gradcheck"]),
+        ({"features": 5}, ["gradcheck"]),
+        ([1, 2], ["gradcheck"]),
+        ({"window": 3.9}, ["gradcheck"]),
+        (None, ["sweep", "--benign", "b", "--attacks", "a", "--out", "o", "--windows", "a,b"]),
+        (None, ["sweep", "--benign", "b", "--attacks", "a", "--out", "o", "--lrs", ","]),
+    ], ids=["seed-not-a-number", "features-not-names", "config-not-an-object",
+         "window-not-an-integer", "sweep-windows", "sweep-no-lrs"])
+    def test_bad_option_value_is_one_error_line(self, tmp_path, capsys, config, argv):
+        prefix = []
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            prefix = ["--config", path]
+        capsys.readouterr()
+        assert exit_code(*prefix, *argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
 
 
 class TestExitCodes:
     def test_missing_input_file_is_a_data_error(self, tmp_path):
         assert run("train", "--input", tmp_path / "missing.csv",
+                   "--scaler", write_scaler(tmp_path / "scaler.json"),
                    "--out", tmp_path / "m.json") == 3
 
     def test_unknown_flag_is_usage_error(self):
@@ -260,6 +395,7 @@ class TestExitCodes:
         data = tmp_path / "data"
         assert run("synth", "--benign", 5, "--attack", 2, "--out", data, *FAST) == 0
         assert run("train", "--input", data / "benign.csv", "--window", 10,
+                   "--scaler", write_scaler(tmp_path / "scaler.json"),
                    "--out", tmp_path / "m.json") == 3
 
     @pytest.mark.parametrize("content", [

@@ -186,7 +186,7 @@ class TestRocPoints:
 def sample_report():
     r = metrics(ConfusionCounts(tp=9430, tn=9999, fp=1, fn=570))
     r.auc = 0.9714
-    r.metadata = {"window": 10, "seed": 1}
+    r.metadata = {"config": {"window": 10, "seed": 1}}
     return r
 
 
@@ -213,7 +213,7 @@ class TestEmitReport:
             recall=0.9430,
             fpr=0.0001,
             f1=0.9706,
-            metadata={"window": 10},
+            metadata={"config": {"window": 10}},
         )
         text = render_report(report, "markdown")
         for token in ("| 10 |", "96.08", "99.99", "94.30", "97.06"):

@@ -196,6 +196,17 @@ class TestScaler:
         with pytest.raises(ModelFormatError):
             load_scaler(path)
 
+    @pytest.mark.parametrize("names", [None, []], ids=["absent", "empty"])
+    def test_feature_names_are_required(self, tmp_path, names):
+        # the stages after preprocess read their columns from these names
+        doc = {"version": 1, "min": [0.0], "max": [1.0]}
+        if names is not None:
+            doc["feature_names"] = names
+        path = tmp_path / "scaler.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError):
+            load_scaler(path)
+
 
 def benign_dataset(n, m=2, seed=0):
     rng = np.random.default_rng(seed)

@@ -111,9 +111,11 @@ class TestCellForward:
         # shapes are checked once per layer, and when the stacked weights are built
         p = LstmParams.zeros(3, 2)
         with pytest.raises(ShapeError):
-            lstm_layer_forward(p, np.zeros((1, 4)))
+            lstm_layer_forward(p, np.zeros((1, 1, 4)))
         with pytest.raises(ShapeError):
             lstm_layer_forward(p, np.zeros(2))
+        with pytest.raises(ShapeError):  # a single sequence must come as a batch of one
+            lstm_layer_forward(p, np.zeros((1, 2)))
         with pytest.raises(ShapeError):
             LstmParams(np.zeros((5, 12)), np.zeros(8))
         with pytest.raises(ShapeError):
@@ -122,7 +124,7 @@ class TestCellForward:
     def test_non_finite_input(self):
         p = LstmParams.zeros(2, 2)
         with pytest.raises(NumericError):
-            lstm_layer_forward(p, np.array([[1.0, np.nan]]))
+            lstm_layer_forward(p, np.array([[[1.0, np.nan]]]))
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
@@ -152,36 +154,36 @@ class TestCellForward:
 class TestLayerForward:
     def test_zero_weights_any_sequence(self):
         p = LstmParams.zeros(4, 3)
-        out, _ = lstm_layer_forward(p, np.random.default_rng(0).normal(size=(6, 3)), True)
+        out, _ = lstm_layer_forward(p, np.random.default_rng(0).normal(size=(1, 6, 3)), True)
         assert np.allclose(out, 0.0)
 
     def test_single_step_equals_cell(self):
         p = random_cell(3, 2, seed=10)
-        x = np.array([[0.3, -0.7]])
+        x = np.array([[[0.3, -0.7]]])
         out, _ = lstm_layer_forward(p, x, return_sequences=False)
-        h, _, _, _ = cell_step(p, np.zeros(3), np.zeros(3), x[0])
-        assert np.allclose(out, h)
+        h, _, _, _ = cell_step(p, np.zeros(3), np.zeros(3), x[0, 0])
+        assert np.allclose(out[0], h)
 
     def test_three_steps_match_naive_oracle(self):
         p = random_cell(2, 3, seed=42)
         seq = np.random.default_rng(42).normal(size=(3, 3))
-        all_h, _ = lstm_layer_forward(p, seq, return_sequences=True)
-        last_h, _ = lstm_layer_forward(p, seq, return_sequences=False)
+        all_h, _ = lstm_layer_forward(p, seq[None], return_sequences=True)
+        last_h, _ = lstm_layer_forward(p, seq[None], return_sequences=False)
         expected = naive_layer(p, seq)
-        assert np.allclose(all_h, np.array(expected), atol=1e-12)
-        assert np.allclose(last_h, np.array(expected[-1]), atol=1e-12)
+        assert np.allclose(all_h[0], np.array(expected), atol=1e-12)
+        assert np.allclose(last_h[0], np.array(expected[-1]), atol=1e-12)
 
     def test_batched_matches_per_sequence(self):
         p = random_cell(3, 2, seed=3)
         batch = np.random.default_rng(4).normal(size=(5, 4, 2))
         out, _ = lstm_layer_forward(p, batch, return_sequences=True)
         for b in range(5):
-            single, _ = lstm_layer_forward(p, batch[b], return_sequences=True)
-            assert np.allclose(out[b], single)
+            single, _ = lstm_layer_forward(p, batch[b : b + 1], return_sequences=True)
+            assert np.allclose(out[b], single[0])
 
     def test_determinism(self):
         p = random_cell(4, 3, seed=8)
-        seq = np.random.default_rng(9).normal(size=(7, 3))
+        seq = np.random.default_rng(9).normal(size=(1, 7, 3))
         a, _ = lstm_layer_forward(p, seq, True)
         b, _ = lstm_layer_forward(p, seq, True)
         assert np.array_equal(a, b)
@@ -238,7 +240,7 @@ def fd_layer_gradients(p, seq, upstream, return_sequences, h=1e-6):
 class TestLayerBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         p = random_cell(3, 2, seed=1)
-        seq = np.random.default_rng(2).normal(size=(4, 2))
+        seq = np.random.default_rng(2).normal(size=(1, 4, 2))
         out, cache = lstm_layer_forward(p, seq, True)
         grads, d_x = lstm_layer_backward(p, cache, np.zeros_like(out))
         assert np.allclose(grads.w, 0.0) and np.allclose(grads.b, 0.0)
@@ -246,8 +248,8 @@ class TestLayerBackward:
 
     def test_one_unit_one_step_matches_finite_differences(self):
         p = random_cell(1, 1, seed=5)
-        seq = np.array([[0.37]])
-        upstream = np.array([1.0])
+        seq = np.array([[[0.37]]])
+        upstream = np.array([[1.0]])
         _, cache = lstm_layer_forward(p, seq, return_sequences=False)
         grads, _ = lstm_layer_backward(p, cache, upstream)
         fd = fd_layer_gradients(p, seq, upstream, return_sequences=False)
@@ -258,8 +260,8 @@ class TestLayerBackward:
     def test_five_steps_match_finite_differences(self, return_sequences):
         p = random_cell(3, 2, seed=6)
         rng = np.random.default_rng(7)
-        seq = rng.normal(size=(5, 2))
-        shape = (5, 3) if return_sequences else (3,)
+        seq = rng.normal(size=(1, 5, 2))
+        shape = (1, 5, 3) if return_sequences else (1, 3)
         upstream = rng.normal(size=shape)
         _, cache = lstm_layer_forward(p, seq, return_sequences)
         grads, _ = lstm_layer_backward(p, cache, upstream)
@@ -271,8 +273,8 @@ class TestLayerBackward:
     def test_input_gradients_match_finite_differences(self):
         p = random_cell(2, 3, seed=11)
         rng = np.random.default_rng(12)
-        seq = rng.normal(size=(4, 3))
-        upstream = rng.normal(size=(4, 2))
+        seq = rng.normal(size=(1, 4, 3))
+        upstream = rng.normal(size=(1, 4, 2))
         _, cache = lstm_layer_forward(p, seq, True)
         _, d_x = lstm_layer_backward(p, cache, upstream)
         h = 1e-6
@@ -289,12 +291,12 @@ class TestLayerBackward:
 
     def test_shape_mismatch_raises(self):
         p = random_cell(2, 2, seed=13)
-        _, cache = lstm_layer_forward(p, np.zeros((3, 2)), True)
+        _, cache = lstm_layer_forward(p, np.zeros((1, 3, 2)), True)
         with pytest.raises(ShapeError):
-            lstm_layer_backward(p, cache, np.zeros((2, 2)))
-        _, none = lstm_layer_forward(p, np.zeros((3, 2)), True, keep_cache=False)
+            lstm_layer_backward(p, cache, np.zeros((1, 2, 2)))
+        _, none = lstm_layer_forward(p, np.zeros((1, 3, 2)), True, keep_cache=False)
         with pytest.raises(ShapeError):
-            lstm_layer_backward(p, none, np.zeros((3, 2)))
+            lstm_layer_backward(p, none, np.zeros((1, 3, 2)))
 
     @pytest.mark.parametrize("return_sequences", [True, False])
     @pytest.mark.parametrize("units", [1, 3])
