@@ -39,6 +39,8 @@ from .windowing import WindowConfig, make_windows
 
 THRESHOLD_FILE_VERSION = 2
 
+SCORE_CHUNK = 256  # windows per forward pass in score_matrix: peak ~ t*4u*SCORE_CHUNK*8 bytes
+
 
 @dataclass
 class ThresholdModel:
@@ -57,35 +59,40 @@ class ThresholdModel:
             raise ParameterError(f"threshold must be >= 0, got {self.threshold}")
 
 
-def per_sample_errors(x: np.ndarray, recon: np.ndarray) -> np.ndarray:
+def per_sample_errors(
+    x: np.ndarray, recon: np.ndarray, start: int = 0, sums: np.ndarray | None = None
+) -> np.ndarray | None:
     """Aggregate window reconstructions into per-sample scores.
 
     For sample i and feature j, the error is the mean of
     |recon[k][i-k][j] - x[i][j]| over every window k containing i; the
     sample score is the mean of those per-feature errors. Edge samples
     average over however many windows actually contain them.
+
+    With a running (n, m) `sums`, `recon` may be the chunk of windows
+    start..start+c-1, added into `sums`; scores come with the last chunk, else None.
     """
     x = np.asarray(x, dtype=float)
     recon = np.asarray(recon, dtype=float)
-    if x.ndim != 2:
-        raise ShapeError(f"source matrix must be 2-D, got ndim={x.ndim}")
-    if recon.ndim != 3:
-        raise ShapeError(f"reconstruction must be rank 3, got ndim={recon.ndim}")
-    n, m = x.shape
-    w, t, mb = recon.shape
-    if mb != m or w != n - t + 1:
-        raise ShapeError(
-            f"window batch {recon.shape} is inconsistent with a {n}x{m} source matrix"
-        )
+    if x.ndim != 2 or recon.ndim != 3:
+        raise ShapeError(f"need a 2-D source and 3-D windows, got {x.ndim}-D and {recon.ndim}-D")
+    (n, m), (c, t, mb) = x.shape, recon.shape
+    w = n - t + 1
+    if mb != m or start < 0 or start + c > w or (sums is None and (start, c) != (0, w)):
+        raise ShapeError(f"windows {start}.. of shape {recon.shape} do not fit a {n}x{m} matrix")
+    if sums is None:
+        sums = np.zeros((n, m))
 
-    # sample index addressed by each (window, offset) slot
-    idx = np.arange(w)[:, None] + np.arange(t)[None, :]
-    err = np.abs(recon - x[idx])
-    sums = np.zeros((n, m))
-    np.add.at(sums, idx.reshape(-1), err.reshape(-1, m))
-    counts = np.bincount(idx.reshape(-1), minlength=n)
-    per_feature = sums / counts[:, None]
-    return per_feature.mean(axis=1)
+    # window start+k holds sample start+k+o at offset o; taking the offsets in
+    # reverse adds each sample's windows in ascending order
+    for o in range(t - 1, -1, -1):
+        lo = start + o
+        sums[lo : lo + c] += np.abs(recon[:, o] - x[lo : lo + c])
+    if start + c < w:
+        return None
+    i = np.arange(n)
+    counts = np.minimum(np.minimum(i + 1, n - i), min(t, w))
+    return (sums / counts[:, None]).mean(axis=1)
 
 
 def calibrate(training_scores: np.ndarray) -> float:
@@ -103,13 +110,14 @@ def classify(scores: np.ndarray, threshold: float) -> np.ndarray:
     return (np.asarray(scores, dtype=float) > threshold).astype(int)
 
 
-def score_matrix(
-    scaled: np.ndarray, weights: ModelWeights, window: WindowConfig
-) -> np.ndarray:
-    """Window an already-scaled matrix, reconstruct it, and aggregate scores."""
+def score_matrix(scaled: np.ndarray, weights: ModelWeights, window: WindowConfig) -> np.ndarray:
+    """Score an already-scaled matrix, SCORE_CHUNK windows per forward pass."""
     windows = make_windows(scaled, window)
-    recon = autoencoder.forward(weights, windows, mode="infer")
-    return per_sample_errors(scaled, recon)
+    sums = np.zeros((len(scaled), windows.shape[2]))
+    for start in range(0, len(windows), SCORE_CHUNK):
+        recon = autoencoder.forward(weights, windows[start : start + SCORE_CHUNK], mode="infer")
+        scores = per_sample_errors(scaled, recon, start, sums)
+    return scores
 
 
 @dataclass

@@ -1,9 +1,9 @@
-"""Confusion counts, scalar detection metrics, rank-based AUC, and reports.
+"""Confusion counts, scalar detection metrics, sort-based ROC/AUC, and reports.
 
 The anomaly class (label 1) is the positive class. AUC is the normalized
 Mann-Whitney U statistic - the probability that a random positive outscores
 a random negative, ties counted half - which equals the area under the ROC
-curve over all thresholds.
+curve over all thresholds. Both come from one O(n log n) sort of the scores.
 """
 
 from __future__ import annotations
@@ -150,47 +150,39 @@ def metrics(c: ConfusionCounts) -> MetricsReport:
     )
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the group mean rank."""
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    high = np.cumsum(counts)
-    low = high - counts + 1
-    return ((low + high) / 2.0)[inverse]
-
-
-def auc_roc(scores, labels) -> float:
-    """Rank-based AUC: P(random positive outscores random negative), ties half."""
+def _roc_counts(scores, labels, curve: str):
+    """One stable descending sort: the distinct scores, highest first, and the
+    negatives (fp) and positives (tp) scoring strictly above each of them,
+    with one more entry that counts every sample."""
     s = np.asarray(scores, dtype=float)
     y = _binary_vector(labels, "labels")
     if s.shape != y.shape:
         raise ShapeError(f"length mismatch: {s.shape[0]} scores vs {y.shape[0]} labels")
-    n_pos = int(np.sum(y == 1))
-    n_neg = int(np.sum(y == 0))
+    n_pos = int(np.sum(y))
+    n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise DataError("AUC is undefined when only one class is present")
-    ranks = _average_ranks(s)
-    u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+        raise DataError(f"{curve} is undefined when only one class is present")
+    order = np.argsort(-s, kind="stable")
+    s, y = s[order], y[order]
+    ends = np.append(np.flatnonzero(s[1:] != s[:-1]), s.size - 1)  # last index of each tie group
+    tp = np.concatenate(([0], np.cumsum(y)[ends]))
+    fp = np.concatenate(([0], ends + 1)) - tp
+    return s[ends], fp, tp, n_neg, n_pos
+
+
+def auc_roc(scores, labels) -> float:
+    """P(random positive outscores random negative), ties half: the ROC
+    trapezoid, summed in exact integer counts."""
+    _, fp, tp, n_neg, n_pos = _roc_counts(scores, labels, "AUC")
+    u2 = int(np.sum(np.diff(fp) * (tp[1:] + tp[:-1])))  # twice the Mann-Whitney U
+    return u2 / 2 / (n_pos * n_neg)
 
 
 def roc_points(scores, labels) -> list[tuple[float, float, float]]:
-    """(threshold, fpr, tpr) plot points using the strict score>threshold rule."""
-    s = np.asarray(scores, dtype=float)
-    y = _binary_vector(labels, "labels")
-    n_pos = int(np.sum(y == 1))
-    n_neg = int(np.sum(y == 0))
-    if n_pos == 0 or n_neg == 0:
-        raise DataError("ROC is undefined when only one class is present")
-    points = []
-    for theta in np.unique(s)[::-1]:
-        flagged = s > theta
-        points.append(
-            (
-                float(theta),
-                float(np.sum(flagged & (y == 0)) / n_neg),
-                float(np.sum(flagged & (y == 1)) / n_pos),
-            )
-        )
+    """(threshold, fpr, tpr) plot points using the strict score>threshold rule,
+    one per distinct score, highest first, then (-inf, 1, 1)."""
+    thresholds, fp, tp, n_neg, n_pos = _roc_counts(scores, labels, "ROC")
+    points = list(zip(thresholds.tolist(), (fp[:-1] / n_neg).tolist(), (tp[:-1] / n_pos).tolist()))
     points.append((float("-inf"), 1.0, 1.0))
     return points
 

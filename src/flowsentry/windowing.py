@@ -24,8 +24,8 @@ class WindowConfig:
 
 
 def make_windows(matrix: np.ndarray, cfg: WindowConfig) -> np.ndarray:
-    """All n-t+1 length-t windows of the matrix as a (w, t, m) array;
-    window k covers rows k..k+t-1."""
+    """All n-t+1 length-t windows of the matrix as a read-only (w, t, m)
+    view of it, not a copy; window k covers rows k..k+t-1."""
     x = np.asarray(matrix, dtype=float)
     if x.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={x.ndim}")
@@ -35,4 +35,4 @@ def make_windows(matrix: np.ndarray, cfg: WindowConfig) -> np.ndarray:
         raise InsufficientDataError(
             f"need at least {t} samples to build one window, got {n}"
         )
-    return sliding_window_view(x, t, axis=0).transpose(0, 2, 1).copy()
+    return sliding_window_view(x, t, axis=0).transpose(0, 2, 1)

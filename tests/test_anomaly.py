@@ -1,12 +1,13 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsentry import autoencoder
+from flowsentry import anomaly, autoencoder
 from flowsentry.anomaly import (
     DetectionResult,
     ThresholdModel,
@@ -220,6 +221,58 @@ class TestDetect:
         result = detect(broken_csv, tm, weights, spec)
         assert 2 not in result.rows
         assert result.rows[0] == 0 and result.rows[2] == 3
+
+
+@pytest.fixture(scope="module")
+def window_by_window(small_pipeline):
+    """Scores of 300 rows (296 windows at t=5) from one forward pass per window,
+    aggregated by the double-loop oracle."""
+    weights = small_pipeline[-1]
+    x = np.random.default_rng(12).uniform(size=(300, 2))
+    windows = make_windows(x, WindowConfig(5))
+    recon = np.stack([autoencoder.forward(weights, windows[k : k + 1])[0] for k in range(len(windows))])
+    return x, weights, brute_force_scores(x, recon, 5)
+
+
+class TestChunkedScoring:
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    def test_chunks_match_the_window_by_window_oracle(self, window_by_window, chunk, monkeypatch):
+        # 296 windows: chunks of 7 and of 256 leave a partial last chunk
+        x, weights, oracle = window_by_window
+        monkeypatch.setattr(anomaly, "SCORE_CHUNK", chunk)
+        scores = score_matrix(x, weights, WindowConfig(5))
+        assert np.max(np.abs(scores - oracle) / oracle) < 1e-12
+        ranked = np.sort(oracle)
+        threshold = (ranked[149] + ranked[150]) / 2  # between two scores, so no tie decides
+        assert np.array_equal(classify(scores, threshold), classify(oracle, threshold))
+        assert 0 < classify(scores, threshold).sum() < len(x)
+
+    def test_partial_chunks_add_up_to_the_whole_batch(self):
+        rng = np.random.default_rng(13)
+        x = rng.uniform(size=(23, 3))
+        recon = rng.uniform(size=(19, 5, 3))
+        sums = np.zeros((23, 3))
+        parts = [per_sample_errors(x, recon[lo:hi], lo, sums) for lo, hi in ((0, 4), (4, 15), (15, 19))]
+        assert parts[0] is None and parts[1] is None
+        assert np.max(np.abs(parts[2] - brute_force_scores(x, recon, 5))) < 1e-12
+        with pytest.raises(ShapeError):
+            per_sample_errors(x, recon[:4], 16, np.zeros((23, 3)))
+
+    def test_peak_memory_does_not_grow_with_rows(self):
+        # t=100: the whole-batch scorer peaked at about 50 kB per window
+        weights = autoencoder.build(autoencoder.ModelConfig(timesteps=100, features=5, units=16))
+        rng = np.random.default_rng(14)
+        peaks = []
+        for n in (2000, 8000):
+            x = rng.uniform(size=(n, 5))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                score_matrix(x, weights, WindowConfig(100))
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 class TestThresholdPersistence:

@@ -238,6 +238,17 @@ class TestTrain:
         assert rep_a.train_loss == rep_b.train_loss
         assert len(rep_a.epoch_seconds) == len(rep_b.epoch_seconds) == 4
 
+    def test_batches_gathered_from_the_window_view_equal_a_copy(self):
+        # make_windows returns a read-only strided view; train gathers its
+        # mini-batches from it without a t-fold copy of the windows
+        cfg = tiny_config(epochs=2, dropout=0.2, batch_size=7)
+        view = training_windows(cfg)
+        assert not view.flags.writeable and not view.flags.c_contiguous
+        a, rep_a = train(build(cfg), view)
+        b, rep_b = train(build(cfg), np.ascontiguousarray(view))
+        assert np.array_equal(a.theta, b.theta)
+        assert rep_a.train_loss == rep_b.train_loss
+
     def test_loss_decreases_on_learnable_data(self):
         cfg = tiny_config(epochs=30)
         w, report = train(build(cfg), training_windows(cfg))

@@ -47,6 +47,30 @@ def brute_force_auc(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def brute_force_roc(scores, labels):
+    """Per-threshold recount: one point per distinct score, highest first."""
+    n_pos = sum(labels)
+    n_neg = len(labels) - n_pos
+    points = []
+    for theta in sorted(set(scores), reverse=True):
+        fp = sum(1 for s, y in zip(scores, labels) if s > theta and y == 0)
+        tp = sum(1 for s, y in zip(scores, labels) if s > theta and y == 1)
+        points.append((theta, fp / n_neg, tp / n_pos))
+    points.append((float("-inf"), 1.0, 1.0))
+    return points
+
+
+# scores drawn mostly from a few values, so that tie groups mix both classes
+tied_samples = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]), st.floats(0, 10)),
+        st.integers(0, 1),
+    ),
+    min_size=2,
+    max_size=80,
+).filter(lambda pairs: len({y for _, y in pairs}) == 2)
+
+
 class TestConfusion:
     def test_perfect_agreement(self):
         c = confusion([1, 0, 1, 0], [1, 0, 1, 0])
@@ -181,6 +205,32 @@ class TestRocPoints:
         tprs = [p[2] for p in points]
         assert fprs == sorted(fprs)
         assert tprs == sorted(tprs)
+
+
+class TestSortedRocAgainstOracles:
+    @given(tied_samples)
+    @settings(max_examples=150, deadline=None)
+    def test_points_equal_the_per_threshold_recount(self, pairs):
+        scores, labels = [s for s, _ in pairs], [y for _, y in pairs]
+        assert roc_points(scores, labels) == brute_force_roc(scores, labels)
+
+    @given(tied_samples)
+    @settings(max_examples=150, deadline=None)
+    def test_auc_equals_the_pairwise_count(self, pairs):
+        scores, labels = [s for s, _ in pairs], [y for _, y in pairs]
+        assert auc_roc(scores, labels) == brute_force_auc(scores, labels)
+
+    def test_all_ties_give_one_point_and_half_auc(self):
+        assert roc_points([0.5] * 4, [0, 1, 1, 0]) == [(0.5, 0.0, 0.0), (float("-inf"), 1.0, 1.0)]
+        assert auc_roc([0.5] * 4, [0, 1, 1, 0]) == 0.5
+
+    def test_one_class_and_length_mismatch_rejected(self):
+        with pytest.raises(DataError, match="ROC is undefined"):
+            roc_points([0.1, 0.2], [0, 0])
+        with pytest.raises(DataError, match="AUC is undefined"):
+            auc_roc([0.1, 0.2], [1, 1])
+        with pytest.raises(ShapeError):
+            roc_points([0.1, 0.2, 0.3], [0, 1])
 
 
 def sample_report():

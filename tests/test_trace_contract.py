@@ -47,8 +47,9 @@ def test_traced_pipeline_reports_every_layer_metric(tmp_path, monkeypatch):
     metrics = t.layer_metrics(0)
     absent = sorted(name for name, value in metrics.items() if value is None)
     assert not absent, f"absent per-layer metrics: {absent}"
-    # one cell call per timestep per layer: training batches, then the
-    # calibrate and detect forward passes over all their windows at once
+    # one cell call per timestep per layer: training batches, then one
+    # forward pass each for calibrate and detect, whose windows (fewer than
+    # 256 each) fit in one scoring chunk of anomaly.SCORE_CHUNK
     train_windows = len((tmp_path / "prep" / "train.csv").read_text().splitlines()) - 1 - window + 1
     batches = math.ceil(train_windows / 64) * epochs
     assert metrics["lstm.cell_calls"] == 2 * window * (batches + 2)

@@ -62,6 +62,14 @@ class TestMakeWindows:
         with pytest.raises(InsufficientDataError, match="10.*got 4|4.*10"):
             make_windows(matrix(4), WindowConfig(10))
 
+    def test_windows_are_a_read_only_view_of_the_matrix(self):
+        x = matrix(7, 3)
+        windows = make_windows(x, WindowConfig(4))
+        assert np.shares_memory(windows, x)
+        assert not windows.flags.writeable
+        with pytest.raises(ValueError):
+            windows[0, 0, 0] = 1.0
+
     def test_windows_are_plain_copies_of_rows(self):
         x = matrix(7, 3)
         windows = make_windows(x, WindowConfig(4))
