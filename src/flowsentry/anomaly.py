@@ -1,4 +1,4 @@
-"""Per-sample anomaly scores, threshold calibration, and the detection pipeline.
+"""Per-sample anomaly scores, threshold calibration and the threshold file.
 
 A sample's score is the mean absolute reconstruction error over every
 window that contains it and over all features; the detection threshold is
@@ -21,19 +21,14 @@ from . import autoencoder
 from .autoencoder import ModelWeights
 from .errors import (
     DataError,
-    InsufficientDataError,
     ModelFormatError,
     ParameterError,
     ShapeError,
 )
 from .ingest import (
-    FeatureSpec,
     Scaler,
-    apply_scaler,
-    parse_csv,
     scaler_from_doc,
     scaler_to_doc,
-    to_dataset,
 )
 from .windowing import WindowConfig, make_windows
 
@@ -118,43 +113,6 @@ def score_matrix(scaled: np.ndarray, weights: ModelWeights, window: WindowConfig
         recon = autoencoder.forward(weights, windows[start : start + SCORE_CHUNK], mode="infer")
         scores = per_sample_errors(scaled, recon, start, sums)
     return scores
-
-
-@dataclass
-class DetectionResult:
-    rows: np.ndarray  # source data-row index per surviving sample
-    labels: np.ndarray
-    scores: np.ndarray
-    verdicts: np.ndarray
-
-
-def detect(
-    raw_csv: str | Path,
-    tm: ThresholdModel,
-    weights: ModelWeights,
-    spec: FeatureSpec | None = None,
-) -> DetectionResult:
-    """Full scoring pipeline on a raw flow CSV.
-
-    parse (skipping malformed rows) -> select -> apply stored scaler
-    (clamped) -> window -> reconstruct (infer) -> per-sample errors ->
-    classify. Every surviving sample gets a verdict, including the edge
-    samples near file boundaries.
-    """
-    if spec is None and tm.scaler.feature_names:
-        spec = FeatureSpec(names=tm.scaler.feature_names)
-    records = parse_csv(raw_csv, spec)
-    t = tm.window.timesteps
-    if len(records) < t:
-        raise InsufficientDataError(
-            f"{raw_csv}: {len(records)} usable sample(s), window length {t} requires at least {t}"
-        )
-    ds = to_dataset(records)
-    scaled = apply_scaler(ds.matrix, tm.scaler)
-    scores = score_matrix(scaled, weights, tm.window)
-    verdicts = classify(scores, tm.threshold)
-    rows = np.array([r.row for r in records], dtype=int)
-    return DetectionResult(rows=rows, labels=ds.labels, scores=scores, verdicts=verdicts)
 
 
 def training_fingerprint(matrix: np.ndarray) -> str:

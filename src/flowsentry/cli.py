@@ -9,10 +9,13 @@ file < flags, and each artifact records the resolved keys of its own stage.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import hashlib
+import itertools
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -102,19 +105,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _model_config(cfg: dict, features: int) -> autoencoder.ModelConfig:
-    return autoencoder.ModelConfig(
-        timesteps=cfg["window"],
-        features=features,
-        units=cfg["units"],
-        dropout=cfg["dropout"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch"],
-        learning_rate=cfg["lr"],
-        seed=cfg["seed"],
-    )
-
-
 def _load_labeled_rows(path: str, spec: FeatureSpec, want_label: int, side: str) -> ingest.Dataset:
     records = ingest.parse_csv(path, spec)
     kept = [r for r in records if r.label == want_label]
@@ -125,7 +115,88 @@ def _load_labeled_rows(path: str, spec: FeatureSpec, want_label: int, side: str)
             len(records) - len(kept),
             side,
         )
+    if want_label == 0 and not kept:
+        raise DataError(f"{path}: no usable benign rows")
     return ingest.to_dataset(kept)
+
+
+# The pipeline core: one array-in/array-out function per step. The stage
+# commands only read and write the files around them; sweep chains them in memory.
+
+
+def _split(
+    benign: ingest.Dataset, attacks: ingest.Dataset, names: tuple[str, ...], cfg: dict
+) -> tuple[ingest.Dataset, ingest.Dataset, ingest.Scaler]:
+    """The benign training split, the test set (held-out benign rows plus
+    sampled attacks) and the scaler fitted on the training split."""
+    train, held = ingest.split_benign(benign, cfg["train_frac"], cfg["seed"])
+    scaler = ingest.fit_scaler(train.matrix, names)
+    return train, ingest.assemble_test_set(held, attacks, cfg["attack_frac"], cfg["seed"]), scaler
+
+
+def _read_scaled(
+    path: str, scaler: ingest.Scaler, label_col: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scaler's feature columns of a flow CSV, scaled, with the label and
+    the 0-based source data-row index of every row the parser kept."""
+    records = ingest.parse_csv(path, FeatureSpec(scaler.feature_names, label_col))
+    if not records:
+        raise DataError(f"{path}: no usable rows")
+    ds = ingest.to_dataset(records)
+    rows = np.array([r.row for r in records], dtype=int)
+    del records  # the records outweigh the matrix; free them before scaling
+    return ingest.apply_scaler(ds.matrix, scaler), ds.labels, rows
+
+
+def _fit(scaled: np.ndarray, cfg: dict) -> tuple[autoencoder.ModelWeights, autoencoder.TrainReport]:
+    """A model built from the train keys and trained on the scaled benign windows."""
+    windows = make_windows(scaled, WindowConfig(timesteps=cfg["window"]))
+    config = autoencoder.ModelConfig(
+        timesteps=cfg["window"],
+        features=scaled.shape[1],
+        units=cfg["units"],
+        dropout=cfg["dropout"],
+        epochs=cfg["epochs"],
+        batch_size=cfg["batch"],
+        learning_rate=cfg["lr"],
+        seed=cfg["seed"],
+    )
+    return autoencoder.train(autoencoder.build(config), windows)
+
+
+def _calibrate(scaled: np.ndarray, weights: autoencoder.ModelWeights) -> float:
+    """The threshold: the maximum per-sample score on the scaled benign training matrix."""
+    window = WindowConfig(timesteps=weights.config.timesteps)
+    return anomaly.calibrate(anomaly.score_matrix(scaled, weights, window))
+
+
+def _detect(
+    scaled: np.ndarray, weights: autoencoder.ModelWeights, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample scores of a scaled matrix and their verdicts (1 = above the threshold)."""
+    window = WindowConfig(timesteps=weights.config.timesteps)
+    scores = anomaly.score_matrix(scaled, weights, window)
+    return scores, anomaly.classify(scores, threshold)
+
+
+def _evaluate_arrays(
+    scores: np.ndarray, verdicts: np.ndarray, labels: np.ndarray, metadata: dict
+) -> evaluation.MetricsReport:
+    counts = evaluation.confusion(verdicts, labels)
+    report = evaluation.metrics(counts)
+    if len(set(labels.tolist())) == 2:
+        report.auc = evaluation.auc_roc(scores, labels)
+    else:
+        report.degenerate = report.degenerate + ("auc",)
+    report.metadata = metadata
+    return report
+
+
+def _epoch_timing(seconds: list[float]) -> dict:
+    """Mean and std of the epoch wall times; nothing when no epoch ran."""
+    if not seconds:
+        return {}
+    return {"epoch_time_mean": float(np.mean(seconds)), "epoch_time_std": float(np.std(seconds))}
 
 
 def cmd_synth(args: argparse.Namespace, cfg: dict) -> int:
@@ -152,36 +223,22 @@ def cmd_preprocess(args: argparse.Namespace, cfg: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     benign = _load_labeled_rows(args.benign, spec, 0, "benign")
     attacks = _load_labeled_rows(args.attacks, spec, 1, "attack")
-    if benign.n == 0:
-        raise DataError(f"{args.benign}: no usable benign rows")
-    train_ds, held = ingest.split_benign(benign, cfg["train_frac"], cfg["seed"])
-    scaler = ingest.fit_scaler(train_ds.matrix, spec.names)
-    test_ds = ingest.assemble_test_set(held, attacks, cfg["attack_frac"], cfg["seed"])
-    ingest.write_csv(out / "train.csv", train_ds.matrix, train_ds.labels, spec)
-    ingest.write_csv(out / "test.csv", test_ds.matrix, test_ds.labels, spec)
+    train, test, scaler = _split(benign, attacks, spec.names, cfg)
+    ingest.write_csv(out / "train.csv", train.matrix, train.labels, spec)
+    ingest.write_csv(out / "test.csv", test.matrix, test.labels, spec)
     ingest.save_scaler(scaler, out / "scaler.json")
+    sampled = int(np.sum(test.labels == 1))
     print(
-        f"preprocess: {train_ds.n} train benign, {held.n} held-out benign, "
-        f"{int(np.sum(test_ds.labels == 1))} sampled attacks -> {out}"
+        f"preprocess: {train.n} train benign, {test.n - sampled} held-out benign, "
+        f"{sampled} sampled attacks -> {out}"
     )
     return EXIT_OK
 
 
-def _scaled_matrix(path: str, scaler: ingest.Scaler, cfg: dict) -> np.ndarray:
-    """The scaler's feature columns of a CSV, scaled."""
-    spec = FeatureSpec(scaler.feature_names, cfg["label_col"])
-    ds = ingest.to_dataset(ingest.parse_csv(path, spec))
-    if ds.n == 0:
-        raise DataError(f"{path}: no usable rows")
-    return ingest.apply_scaler(ds.matrix, scaler)
-
-
 def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
-    scaler = ingest.load_scaler(args.scaler)
-    scaled = _scaled_matrix(args.input, scaler, cfg)
-    windows = make_windows(scaled, WindowConfig(timesteps=cfg["window"]))
-    weights = autoencoder.build(_model_config(cfg, features=scaler.m))
-    weights, report = autoencoder.train(weights, windows)
+    # [0]: the labels and row indices are not kept alive through training
+    scaled = _read_scaled(args.input, ingest.load_scaler(args.scaler), cfg["label_col"])[0]
+    weights, report = _fit(scaled, cfg)
     autoencoder.save(weights, args.out)
     if args.history:
         history = {
@@ -194,7 +251,8 @@ def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
             json.dumps(history, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
     final = report.train_loss[-1] if report.train_loss else float("nan")
-    print(f"train: {len(windows)} windows, {cfg['epochs']} epochs, final MAE {final:.6f} -> {args.out}")
+    windows = len(scaled) - cfg["window"] + 1
+    print(f"train: {windows} windows, {cfg['epochs']} epochs, final MAE {final:.6f} -> {args.out}")
     return EXIT_OK
 
 
@@ -207,14 +265,12 @@ def _load_model(path: str) -> tuple[autoencoder.ModelWeights, str]:
 def cmd_calibrate(args: argparse.Namespace, cfg: dict) -> int:
     weights, model_sha256 = _load_model(args.model)
     scaler = ingest.load_scaler(args.scaler)
-    scaled = _scaled_matrix(args.input, scaler, cfg)
-    window = WindowConfig(timesteps=weights.config.timesteps)
-    scores = anomaly.score_matrix(scaled, weights, window)
-    threshold = anomaly.calibrate(scores)
+    scaled = _read_scaled(args.input, scaler, cfg["label_col"])[0]
+    threshold = _calibrate(scaled, weights)
     tm = anomaly.ThresholdModel(
         threshold=threshold,
         scaler=scaler,
-        window=window,
+        window=WindowConfig(timesteps=weights.config.timesteps),
         # relative to the threshold file, so the pair can move together
         model_path=os.path.relpath(args.model, Path(args.out).parent),
         model_sha256=model_sha256,
@@ -224,7 +280,7 @@ def cmd_calibrate(args: argparse.Namespace, cfg: dict) -> int:
         },
     )
     anomaly.save_threshold(tm, args.out)
-    print(f"calibrate: threshold {threshold!r} over {scores.size} samples -> {args.out}")
+    print(f"calibrate: threshold {threshold!r} over {len(scaled)} samples -> {args.out}")
     return EXIT_OK
 
 
@@ -237,52 +293,44 @@ def cmd_detect(args: argparse.Namespace, cfg: dict) -> int:
             f"{model_path} (sha256 {model_sha256[:12]}) is not the model "
             f"{args.thresholds} was calibrated with (sha256 {tm.model_sha256[:12]})"
         )
-    spec = FeatureSpec(tm.scaler.feature_names, cfg["label_col"])
-    result = anomaly.detect(args.input, tm, weights, spec)
+    scaled, labels, rows = _read_scaled(args.input, tm.scaler, cfg["label_col"])
+    scores, verdicts = _detect(scaled, weights, tm.threshold)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("row_index,score,verdict,label\n")
-        for row, score, verdict, label in zip(
-            result.rows, result.scores, result.verdicts, result.labels
-        ):
+        for row, score, verdict, label in zip(rows, scores, verdicts, labels):
             fh.write(f"{row},{float(score)!r},{verdict},{label}\n")
-    flagged = int(result.verdicts.sum())
-    print(f"detect: {flagged}/{result.verdicts.size} sample(s) flagged -> {args.out}")
+    print(f"detect: {int(verdicts.sum())}/{verdicts.size} sample(s) flagged -> {args.out}")
     return EXIT_OK
 
 
 def _read_verdicts(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    import csv as _csv
-
     scores, verdicts, labels = [], [], []
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read verdicts file {path}: {exc}") from exc
     with fh:
-        reader = _csv.DictReader(fh)
+        reader = csv.DictReader(fh)
         required = {"score", "verdict", "label"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise DataError(f"{path}: expected columns row_index,score,verdict,label")
         for row in reader:
-            scores.append(float(row["score"]))
-            verdicts.append(int(row["verdict"]))
-            labels.append(int(row["label"]))
+            cells = [row["score"], row["verdict"], row["label"]]  # None where a short row ends
+            try:
+                score, verdict, label = float(cells[0]), int(cells[1]), int(cells[2])
+            except (TypeError, ValueError) as exc:
+                raise DataError(
+                    f"{path}, line {reader.line_num}: score, verdict and label must be numbers, "
+                    f"got {cells}"
+                ) from exc
+            if not math.isfinite(score):
+                raise DataError(f"{path}, line {reader.line_num}: non-finite score {score}")
+            scores.append(score)
+            verdicts.append(verdict)
+            labels.append(label)
     if not scores:
         raise DataError(f"{path}: no verdict rows")
     return np.array(scores), np.array(verdicts), np.array(labels)
-
-
-def _evaluate_arrays(
-    scores: np.ndarray, verdicts: np.ndarray, labels: np.ndarray, metadata: dict
-) -> evaluation.MetricsReport:
-    counts = evaluation.confusion(verdicts, labels)
-    report = evaluation.metrics(counts)
-    if len(set(labels.tolist())) == 2:
-        report.auc = evaluation.auc_roc(scores, labels)
-    else:
-        report.degenerate = report.degenerate + ("auc",)
-    report.metadata = metadata
-    return report
 
 
 def _read_history(path: str) -> tuple[dict, list[float]]:
@@ -310,9 +358,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
     metadata: dict = {"verdicts": str(args.verdicts)}
     if args.history:
         metadata["config"], times = _read_history(args.history)
-        if times:
-            metadata["epoch_time_mean"] = float(np.mean(times))
-            metadata["epoch_time_std"] = float(np.std(times))
+        metadata.update(_epoch_timing(times))
     report = _evaluate_arrays(scores, verdicts, labels, metadata)
     evaluation.emit_report(report, args.format, args.out)
     if args.roc_points:
@@ -329,41 +375,22 @@ def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _run_sweep_cell(
-    benign: ingest.Dataset, attacks: ingest.Dataset, spec: FeatureSpec, cfg: dict
-) -> evaluation.MetricsReport:
-    train_ds, held = ingest.split_benign(benign, cfg["train_frac"], cfg["seed"])
-    scaler = ingest.fit_scaler(train_ds.matrix, spec.names)
-    scaled_train = ingest.apply_scaler(train_ds.matrix, scaler)
-    window = WindowConfig(timesteps=cfg["window"])
-    weights = autoencoder.build(_model_config(cfg, features=spec.m))
-    weights, train_report = autoencoder.train(weights, make_windows(scaled_train, window))
-    threshold = anomaly.calibrate(anomaly.score_matrix(scaled_train, weights, window))
-
-    test_ds = ingest.assemble_test_set(held, attacks, cfg["attack_frac"], cfg["seed"])
-    scaled_test = ingest.apply_scaler(test_ds.matrix, scaler)
-    scores = anomaly.score_matrix(scaled_test, weights, window)
-    verdicts = anomaly.classify(scores, threshold)
-    metadata = {
-        "config": cfg,
-        "threshold": threshold,
-        "epoch_time_mean": float(np.mean(train_report.epoch_seconds)),
-        "epoch_time_std": float(np.std(train_report.epoch_seconds)),
-    }
-    return _evaluate_arrays(scores, verdicts, test_ds.labels, metadata)
-
-
 def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     spec = FeatureSpec(cfg["features"], cfg["label_col"])
     benign = _load_labeled_rows(args.benign, spec, 0, "benign")
     attacks = _load_labeled_rows(args.attacks, spec, 1, "attack")
+    train, test, scaler = _split(benign, attacks, spec.names, cfg)
+    scaled_train = ingest.apply_scaler(train.matrix, scaler)
+    scaled_test = ingest.apply_scaler(test.matrix, scaler)
     reports = []
-    for window in args.windows:
-        for batch in args.batches:
-            for lr in args.lrs:
-                cell_cfg = dict(cfg, window=window, batch=batch, lr=lr)
-                logger.info("sweep cell: window=%d batch=%d lr=%g", window, batch, lr)
-                reports.append(_run_sweep_cell(benign, attacks, spec, cell_cfg))
+    for window, batch, lr in itertools.product(args.windows, args.batches, args.lrs):
+        cell = dict(cfg, window=window, batch=batch, lr=lr)
+        logger.info("sweep cell: window=%d batch=%d lr=%g", window, batch, lr)
+        weights, fit = _fit(scaled_train, cell)
+        threshold = _calibrate(scaled_train, weights)
+        scores, verdicts = _detect(scaled_test, weights, threshold)
+        metadata = {"config": cell, "threshold": threshold, **_epoch_timing(fit.epoch_seconds)}
+        reports.append(_evaluate_arrays(scores, verdicts, test.labels, metadata))
     evaluation.write_sweep_csv(reports, args.out)
     print(f"sweep: {len(reports)} cell(s) -> {args.out}")
     return EXIT_OK

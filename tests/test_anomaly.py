@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsentry import anomaly, autoencoder
+from flowsentry import anomaly, autoencoder, cli
 from flowsentry.anomaly import (
-    DetectionResult,
     ThresholdModel,
     calibrate,
     classify,
-    detect,
     load_threshold,
     per_sample_errors,
     save_threshold,
@@ -184,25 +182,31 @@ def small_pipeline(tmp_path_factory):
     return tmp, spec, train_csv, attack_csv, tm, weights
 
 
+def detect(csv_path, tm, weights, spec):
+    """What the detect stage computes for a CSV: source rows, scores, verdicts."""
+    scaled, _, rows = cli._read_scaled(csv_path, tm.scaler, spec.label_column)
+    scores, verdicts = cli._detect(scaled, weights, tm.threshold)
+    return rows, scores, verdicts
+
+
 class TestDetect:
     def test_training_file_scores_zero_false_positives(self, small_pipeline):
         _, spec, train_csv, _, tm, weights = small_pipeline
-        result = detect(train_csv, tm, weights, spec)
-        assert isinstance(result, DetectionResult)
-        assert result.verdicts.sum() == 0
-        assert result.verdicts.size == 400
+        _, _, verdicts = detect(train_csv, tm, weights, spec)
+        assert verdicts.sum() == 0
+        assert verdicts.size == 400
 
     def test_detect_is_deterministic(self, small_pipeline):
         _, spec, train_csv, _, tm, weights = small_pipeline
-        a = detect(train_csv, tm, weights, spec)
-        b = detect(train_csv, tm, weights, spec)
-        assert np.array_equal(a.verdicts, b.verdicts)
-        assert np.array_equal(a.scores, b.scores)
+        _, scores_a, verdicts_a = detect(train_csv, tm, weights, spec)
+        _, scores_b, verdicts_b = detect(train_csv, tm, weights, spec)
+        assert np.array_equal(verdicts_a, verdicts_b)
+        assert np.array_equal(scores_a, scores_b)
 
     def test_shifted_rows_are_flagged(self, small_pipeline):
         _, spec, _, attack_csv, tm, weights = small_pipeline
-        result = detect(attack_csv, tm, weights, spec)
-        assert result.verdicts.mean() > 0.95
+        _, _, verdicts = detect(attack_csv, tm, weights, spec)
+        assert verdicts.mean() > 0.95
 
     def test_too_few_samples(self, small_pipeline, tmp_path):
         _, spec, _, _, tm, weights = small_pipeline
@@ -218,9 +222,9 @@ class TestDetect:
         lines[3] = lines[3].replace(lines[3].split(",")[2], "not-a-number", 1)
         broken_csv = tmp_path / "broken.csv"
         broken_csv.write_text("\n".join(lines) + "\n")
-        result = detect(broken_csv, tm, weights, spec)
-        assert 2 not in result.rows
-        assert result.rows[0] == 0 and result.rows[2] == 3
+        rows, _, _ = detect(broken_csv, tm, weights, spec)
+        assert 2 not in rows
+        assert rows[0] == 0 and rows[2] == 3
 
 
 @pytest.fixture(scope="module")

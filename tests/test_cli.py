@@ -252,6 +252,45 @@ class TestSweep:
         assert [r["window"] for r in rows] == ["5", "8", "10"]
         assert all(float(r["epoch_time_mean"]) > 0 for r in rows)
 
+    def test_a_cell_equals_the_staged_pipeline(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        seed, keys = ["--seed", 7], ["--epochs", 3, "--seed", 7]
+        assert run("synth", "--benign", 1500, "--attack", 300, "--shift", 4, *seed,
+                   "--out", "data", *FAST) == 0
+        assert run("preprocess", "--benign", "data/benign.csv", "--attacks", "data/attack.csv",
+                   "--attack-frac", "1.0", *seed, "--out", "prep") == 0
+        assert run("train", "--input", "prep/train.csv", "--scaler", "prep/scaler.json",
+                   "--window", 10, "--batch", 64, *keys, "--out", "model.json") == 0
+        assert run("calibrate", "--model", "model.json", "--scaler", "prep/scaler.json",
+                   "--input", "prep/train.csv", "--out", "th.json") == 0
+        assert run("detect", "--thresholds", "th.json", "--input", "prep/test.csv",
+                   "--out", "verdicts.csv") == 0
+        assert run("evaluate", "--verdicts", "verdicts.csv", "--out", "report.json") == 0
+        assert run("sweep", "--benign", "data/benign.csv", "--attacks", "data/attack.csv",
+                   "--attack-frac", "1.0", "--windows", 10, "--batches", 64, "--lrs", "0.001",
+                   *keys, "--out", "sweep.csv") == 0
+        staged = json.loads((tmp_path / "report.json").read_text())
+        with open(tmp_path / "sweep.csv") as fh:
+            (cell,) = csv.DictReader(fh)
+        for metric in ("accuracy", "precision", "recall", "fpr", "f1", "auc"):
+            assert float(cell[metric]) == staged[metric], metric
+        for count in ("tp", "tn", "fp", "fn"):
+            assert int(cell[count]) == staged["counts"][count], count
+        assert (staged["counts"]["tp"], staged["counts"]["fn"]) == (299, 1)
+
+    def test_zero_epochs_leave_the_epoch_time_cells_blank(self, tmp_path):
+        data = tmp_path / "data"
+        assert run("synth", "--benign", 300, "--attack", 60, "--seed", 3,
+                   "--out", data, *FAST) == 0
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--benign", data / "benign.csv",
+                   "--attacks", data / "attack.csv", "--attack-frac", "1.0",
+                   "--windows", "5", "--batches", "32", "--lrs", "0.001",
+                   "--epochs", 0, "--seed", 3, "--out", out) == 0
+        with open(out) as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["epoch_time_mean"] == row["epoch_time_std"] == ""
+
 
 class TestConfigResolution:
     def test_config_file_and_flag_precedence(self, tmp_path):
@@ -397,6 +436,27 @@ class TestExitCodes:
         assert run("train", "--input", data / "benign.csv", "--window", 10,
                    "--scaler", write_scaler(tmp_path / "scaler.json"),
                    "--out", tmp_path / "m.json") == 3
+
+    @pytest.mark.parametrize("command", ["preprocess", "sweep"])
+    def test_a_benign_file_without_benign_rows_is_a_data_error(self, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        assert run("synth", "--benign", 20, "--attack", 20, "--out", data, *FAST) == 0
+        capsys.readouterr()
+        assert run(command, "--benign", data / "attack.csv", "--attacks", data / "attack.csv",
+                   "--out", tmp_path / "out") == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {data / 'attack.csv'}: no usable benign rows"], err
+
+    @pytest.mark.parametrize("row", ["1,abc,1,1", "1,0.2", "1,nan,1,1"],
+                             ids=["non-numeric-score", "short-row", "nan-score"])
+    def test_malformed_verdict_row_is_a_data_error(self, tmp_path, capsys, row):
+        verdicts = tmp_path / "v.csv"
+        verdicts.write_text(f"row_index,score,verdict,label\n0,0.1,0,0\n{row}\n")
+        capsys.readouterr()
+        assert run("evaluate", "--verdicts", verdicts, "--out", tmp_path / "r.json") == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("content", [
         b'{"train_loss": [0.1',  # truncated JSON
