@@ -15,22 +15,16 @@ import hashlib
 import itertools
 import json
 import logging
-import math
 import os
 import sys
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import anomaly, autoencoder, evaluation, ingest, synth
-from .errors import (
-    EXIT_NUMERIC,
-    EXIT_OK,
-    DataError,
-    FlowSentryError,
-    ParameterError,
-)
+from .errors import EXIT_NUMERIC, EXIT_OK, DataError, FlowSentryError, ParameterError
 from .ingest import DEFAULT_FEATURES, FeatureSpec
 from .lstm import grad_check
 from .windowing import WindowConfig, make_windows
@@ -106,18 +100,15 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _load_labeled_rows(path: str, spec: FeatureSpec, want_label: int, side: str) -> ingest.Dataset:
-    records = ingest.parse_csv(path, spec)
-    kept = [r for r in records if r.label == want_label]
-    if len(kept) != len(records):
-        logger.warning(
-            "%s: ignoring %d row(s) whose label does not belong in the %s set",
-            path,
-            len(records) - len(kept),
-            side,
-        )
-    if want_label == 0 and not kept:
+    ds = ingest.parse_csv(path, spec)
+    keep = ds.labels == want_label
+    if not keep.all():
+        logger.warning("%s: ignoring %d row(s) whose label does not belong in the %s set",
+                       path, len(ds) - int(keep.sum()), side)
+        ds = ingest.Dataset(ds.matrix[keep], ds.labels[keep], ds.rows[keep])
+    if want_label == 0 and not len(ds):
         raise DataError(f"{path}: no usable benign rows")
-    return ingest.to_dataset(kept)
+    return ds
 
 
 # The pipeline core: one array-in/array-out function per step. The stage
@@ -134,18 +125,13 @@ def _split(
     return train, ingest.assemble_test_set(held, attacks, cfg["attack_frac"], cfg["seed"]), scaler
 
 
-def _read_scaled(
-    path: str, scaler: ingest.Scaler, label_col: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _read_scaled(path: str, scaler: ingest.Scaler, label_col: str) -> tuple[np.ndarray, ...]:
     """The scaler's feature columns of a flow CSV, scaled, with the label and
     the 0-based source data-row index of every row the parser kept."""
-    records = ingest.parse_csv(path, FeatureSpec(scaler.feature_names, label_col))
-    if not records:
+    ds = ingest.parse_csv(path, FeatureSpec(scaler.feature_names, label_col))
+    if not len(ds):
         raise DataError(f"{path}: no usable rows")
-    ds = ingest.to_dataset(records)
-    rows = np.array([r.row for r in records], dtype=int)
-    del records  # the records outweigh the matrix; free them before scaling
-    return ingest.apply_scaler(ds.matrix, scaler), ds.labels, rows
+    return ingest.apply_scaler(ds.matrix, scaler), ds.labels, ds.rows
 
 
 def _fit(scaled: np.ndarray, cfg: dict) -> tuple[autoencoder.ModelWeights, autoencoder.TrainReport]:
@@ -293,44 +279,56 @@ def cmd_detect(args: argparse.Namespace, cfg: dict) -> int:
             f"{model_path} (sha256 {model_sha256[:12]}) is not the model "
             f"{args.thresholds} was calibrated with (sha256 {tm.model_sha256[:12]})"
         )
+    if tm.window.timesteps != weights.config.timesteps:
+        raise DataError(f"{args.thresholds} records window {tm.window.timesteps}, but its model "
+                        f"{model_path} has window {weights.config.timesteps}")
     scaled, labels, rows = _read_scaled(args.input, tm.scaler, cfg["label_col"])
     scores, verdicts = _detect(scaled, weights, tm.threshold)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("row_index,score,verdict,label\n")
-        for row, score, verdict, label in zip(rows, scores, verdicts, labels):
-            fh.write(f"{row},{float(score)!r},{verdict},{label}\n")
+        for start in range(0, len(rows), ingest.PARSE_BLOCK):
+            block = slice(start, start + ingest.PARSE_BLOCK)
+            columns = (rows[block], scores[block], verdicts[block], labels[block])
+            fh.write("".join(map("%d,%r,%d,%d\n".__mod__, zip(*(c.tolist() for c in columns)))))
     print(f"detect: {int(verdicts.sum())}/{verdicts.size} sample(s) flagged -> {args.out}")
     return EXIT_OK
 
 
-def _read_verdicts(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    scores, verdicts, labels = [], [], []
+def _read_verdicts(path: str, size: int = ingest.PARSE_BLOCK) -> tuple[np.ndarray, ...]:
+    """The score, verdict and label columns, converted `size` rows at a time. A
+    malformed file is read again one row at a time, so that the error names the
+    line of its first bad row."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read verdicts file {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        required = {"score", "verdict", "label"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = {name: i for i, name in enumerate(next(reader, []))}
+        if not header.keys() >= {"score", "verdict", "label"}:
             raise DataError(f"{path}: expected columns row_index,score,verdict,label")
-        for row in reader:
-            cells = [row["score"], row["verdict"], row["label"]]  # None where a short row ends
+        columns = [header["score"], header["verdict"], header["label"]]
+        parts = [[np.empty(0), np.empty(0, dtype=int), np.empty(0, dtype=int)]]  # the dtypes
+        while block := list(itertools.islice(reader, size)):
+            rows = list(filter(None, block))
             try:
-                score, verdict, label = float(cells[0]), int(cells[1]), int(cells[2])
-            except (TypeError, ValueError) as exc:
-                raise DataError(
-                    f"{path}, line {reader.line_num}: score, verdict and label must be numbers, "
-                    f"got {cells}"
-                ) from exc
-            if not math.isfinite(score):
-                raise DataError(f"{path}, line {reader.line_num}: non-finite score {score}")
-            scores.append(score)
-            verdicts.append(verdict)
-            labels.append(label)
-    if not scores:
+                part = [np.array(list(map(kind, map(itemgetter(i), rows))), dtype=kind)
+                        for kind, i in zip((float, int, int), columns)]
+            except (IndexError, ValueError) as exc:
+                if size > 1:
+                    return _read_verdicts(path, 1)
+                cells = [rows[0][i] if i < len(rows[0]) else None for i in columns]
+                raise DataError(f"{path}, line {reader.line_num}: score, verdict and label "
+                                f"must be numbers, got {cells}") from exc
+            if not np.isfinite(part[0]).all():
+                if size > 1:
+                    return _read_verdicts(path, 1)
+                raise DataError(f"{path}, line {reader.line_num}: non-finite score {part[0][0]}")
+            parts.append(part)
+    scores, verdicts, labels = map(np.concatenate, zip(*parts))
+    if not scores.size:
         raise DataError(f"{path}: no verdict rows")
-    return np.array(scores), np.array(verdicts), np.array(labels)
+    return scores, verdicts, labels
 
 
 def _read_history(path: str) -> tuple[dict, list[float]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -74,12 +74,7 @@ class MetricsReport:
     def to_dict(self) -> dict:
         return {
             "version": REPORT_FILE_VERSION,
-            "counts": {
-                "tp": self.counts.tp,
-                "tn": self.counts.tn,
-                "fp": self.counts.fp,
-                "fn": self.counts.fn,
-            },
+            "counts": asdict(self.counts),
             "accuracy": self.accuracy,
             "precision": self.precision,
             "recall": self.recall,
@@ -96,7 +91,7 @@ def _binary_vector(values, name: str) -> np.ndarray:
     if arr.ndim != 1:
         raise ShapeError(f"{name} must be a 1-D vector")
     arr = arr.astype(int)
-    bad = set(np.unique(arr)) - {0, 1}
+    bad = set(np.unique(arr).tolist()) - {0, 1}
     if bad:
         raise DataError(f"{name} contains non-binary value(s): {sorted(bad)}")
     return arr

@@ -13,18 +13,14 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    ModelFormatError,
-    ParameterError,
-    SchemaError,
-    ShapeError,
-)
+from .errors import DataError, ModelFormatError, ParameterError, SchemaError, ShapeError
 
 logger = logging.getLogger(__name__)
 
@@ -41,6 +37,8 @@ DEFAULT_LABEL_COLUMN = "Label"
 BENIGN_LABEL = "BENIGN"
 
 SCALER_FILE_VERSION = 1
+
+PARSE_BLOCK = 512  # csv rows parsed or written per block: bounds the row strings held at once
 
 
 @dataclass(frozen=True)
@@ -62,15 +60,6 @@ class FeatureSpec:
     @property
     def m(self) -> int:
         return len(self.names)
-
-
-@dataclass
-class FlowRecord:
-    """One parsed traffic-flow row: feature vector, binary label, source row."""
-
-    features: np.ndarray  # (m,) float64
-    label: int  # 0 benign, 1 attack
-    row: int = -1  # 0-based data-row index in the source file
 
 
 @dataclass
@@ -97,10 +86,11 @@ class Scaler:
 
 @dataclass
 class Dataset:
-    """Feature matrix with aligned binary labels."""
+    """Feature matrix with aligned binary labels and, if parsed, source row indices."""
 
     matrix: np.ndarray  # (n, m) float64
     labels: np.ndarray  # (n,) int
+    rows: np.ndarray | None = None  # (n,) int
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -111,25 +101,28 @@ class Dataset:
             raise ShapeError(
                 f"label count {self.labels.shape} does not match row count {self.matrix.shape[0]}"
             )
-        if self.labels.size and not np.isin(self.labels, (0, 1)).all():
+        if self.labels.size and not 0 <= self.labels.min() <= self.labels.max() <= 1:
             raise DataError("dataset labels must be binary (0 benign, 1 attack)")
 
-    @property
-    def n(self) -> int:
+    def __len__(self) -> int:
         return self.matrix.shape[0]
+
+    n = property(__len__)
 
     @property
     def m(self) -> int:
         return self.matrix.shape[1]
 
 
-def parse_csv(path: str | Path, spec: FeatureSpec | None = None) -> list[FlowRecord]:
-    """Parse one flow CSV into records.
+def parse_csv(path: str | Path, spec: FeatureSpec | None = None) -> Dataset:
+    """Parse one flow CSV into a Dataset whose `rows` are the 0-based source
+    data-row indices, blank lines counted.
 
     Header names are matched after stripping surrounding whitespace. A label
     equal to "BENIGN" (case-insensitive) encodes to 0, everything else to 1.
     Rows whose feature cells fail to parse or parse to non-finite values are
-    skipped; the skip count is logged.
+    skipped; the skip count is logged. Rows are converted `PARSE_BLOCK` at a
+    time (see `to_dataset`) into arrays sized up front.
     """
     spec = spec or FeatureSpec()
     try:
@@ -137,6 +130,8 @@ def parse_csv(path: str | Path, spec: FeatureSpec | None = None) -> list[FlowRec
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
+        size = sum(1 for _ in fh) - 1  # no fewer than the data rows: a row takes 1+ lines
+        fh.seek(0)
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -145,37 +140,51 @@ def parse_csv(path: str | Path, spec: FeatureSpec | None = None) -> list[FlowRec
         missing = [c for c in (*spec.names, spec.label_column) if c not in columns]
         if missing:
             raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
-        feature_idx = [columns[c] for c in spec.names]
-        label_idx = columns[spec.label_column]
-
-        records: list[FlowRecord] = []
-        skipped = 0
-        for row_no, row in enumerate(reader):
-            if not row:
-                continue
-            try:
-                values = [float(row[i]) for i in feature_idx]
-                label_text = row[label_idx]
-            except (ValueError, IndexError):
-                skipped += 1
-                continue
-            if not all(math.isfinite(v) for v in values):
-                skipped += 1
-                continue
-            label = 0 if label_text.strip().upper() == BENIGN_LABEL else 1
-            records.append(FlowRecord(np.array(values, dtype=float), label, row=row_no))
+        wanted = [columns[c] for c in (*spec.names, spec.label_column)]
+        out = [np.empty((size, spec.m)), np.empty(size, dtype=int), np.empty(size, dtype=int)]
+        n = seen = skipped = 0
+        while block := list(islice(reader, PARSE_BLOCK)):
+            part = to_dataset(block, seen, wanted)
+            for column, values in zip(out, (part.matrix, part.labels, part.rows)):
+                column[n : n + len(part)] = values
+            skipped += len(block) - block.count([]) - len(part)
+            seen, n = seen + len(block), n + len(part)
+    for column in out:  # in place: a shrinking realloc keeps one copy of the data
+        column.resize((n, *column.shape[1:]), refcheck=False)
     if skipped:
         logger.warning("%s: skipped %d malformed row(s)", path, skipped)
-    return records
+    return Dataset(*out)
 
 
-def to_dataset(records: Sequence[FlowRecord]) -> Dataset:
-    """Stack records into a Dataset (empty records give a 0×0 matrix)."""
-    if not records:
-        return Dataset(np.empty((0, 0)), np.empty((0,), dtype=int))
-    matrix = np.stack([r.features for r in records])
-    labels = np.array([r.label for r in records], dtype=int)
-    return Dataset(matrix, labels)
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def to_dataset(block: list[list[str]], first_row: int, columns: Sequence[int]) -> Dataset:
+    """The rows of one block of csv rows that have finite features.
+
+    `columns` indexes a row's feature cells, then its label cell. Blank rows
+    are dropped but counted in the source indices, which start at
+    `first_row`. A short row or an unparseable cell makes the row's features
+    NaN, so it is dropped like a non-finite row.
+    """
+    rows = first_row + np.flatnonzero(np.fromiter(map(bool, block), bool, len(block)))
+    block = list(filter(None, block))
+    try:
+        *features, text = [list(map(itemgetter(i), block)) for i in columns]
+        values = list(map(float, chain.from_iterable(features)))
+    except (IndexError, ValueError):
+        width = max(columns) + 1
+        block = [row if len(row) >= width else [""] * width for row in block]
+        *features, text = [list(map(itemgetter(i), block)) for i in columns]
+        values = list(map(_float_or_nan, chain.from_iterable(features)))
+    matrix = np.array(values).reshape(len(features), len(block)).T
+    keep = np.isfinite(matrix).all(axis=1)
+    labels = map(BENIGN_LABEL.__ne__, map(str.upper, map(str.strip, text)))
+    return Dataset(matrix[keep], np.fromiter(labels, int, len(block))[keep], rows[keep])
 
 
 def fit_scaler(matrix: np.ndarray, feature_names: Sequence[str] = ()) -> Scaler:
@@ -222,9 +231,7 @@ def split_benign(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset
     n_train = int(math.floor(ds.n * train_fraction))
     train_idx = np.sort(order[:n_train])
     held_idx = np.sort(order[n_train:])
-    train = Dataset(ds.matrix[train_idx], ds.labels[train_idx])
-    held = Dataset(ds.matrix[held_idx], ds.labels[held_idx])
-    return train, held
+    return tuple(Dataset(ds.matrix[idx], ds.labels[idx]) for idx in (train_idx, held_idx))
 
 
 def assemble_test_set(
@@ -242,10 +249,6 @@ def assemble_test_set(
     rng = np.random.default_rng(seed)
     k = int(math.floor(attacks.n * attack_fraction))
     take = np.sort(rng.permutation(attacks.n)[:k])
-    if held_out_benign.n == 0:
-        return Dataset(attacks.matrix[take], attacks.labels[take])
-    if attacks.n == 0 or k == 0:
-        return Dataset(held_out_benign.matrix.copy(), held_out_benign.labels.copy())
     matrix = np.concatenate([held_out_benign.matrix, attacks.matrix[take]])
     labels = np.concatenate([held_out_benign.labels, attacks.labels[take]])
     return Dataset(matrix, labels)
@@ -313,11 +316,14 @@ def write_csv(
         raise ShapeError("label count does not match row count")
     header = ["Flow ID", " Timestamp"] + [f" {name}" for name in spec.names]
     header.append(f" {spec.label_column}")
+    # the csv module's line ending; no data cell needs quoting
+    line = "flow-%d,%d," + ",".join(["%r"] * spec.m) + ",%s\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(matrix.shape[0]):
-            label_text = BENIGN_LABEL if labels[i] == 0 else "Synthetic"
-            writer.writerow(
-                [f"flow-{i}", i, *[repr(float(v)) for v in matrix[i]], label_text]
-            )
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(matrix), PARSE_BLOCK):
+            block = zip(matrix[start : start + PARSE_BLOCK].tolist(),
+                        labels[start : start + PARSE_BLOCK].tolist())
+            fh.write("".join(
+                line % (i, i, *values, "Synthetic" if label else BENIGN_LABEL)
+                for i, (values, label) in enumerate(block, start)
+            ))

@@ -380,9 +380,9 @@ CORPUS = os.environ.get("CICDDOS2019_DIR")
 def test_criterion_8_cicddos2019_replication():
     def run_attack(csv_name, seed=8):
         path = Path(CORPUS) / csv_name
-        records = ingest.parse_csv(path)
-        benign = ingest.to_dataset([r for r in records if r.label == 0])
-        attacks = ingest.to_dataset([r for r in records if r.label == 1])
+        ds = ingest.parse_csv(path)
+        benign = ingest.Dataset(ds.matrix[ds.labels == 0], ds.labels[ds.labels == 0])
+        attacks = ingest.Dataset(ds.matrix[ds.labels == 1], ds.labels[ds.labels == 1])
         train_ds, held = ingest.split_benign(benign, 0.8, seed)
         scaler = ingest.fit_scaler(train_ds.matrix)
         scaled_train = ingest.apply_scaler(train_ds.matrix, scaler)

@@ -208,6 +208,20 @@ class TestArtifactVersions:
         assert len(err) == 1 and err[0].startswith("error:") and "calibrated" in err[0], err
         assert not out.exists()
 
+    def test_detect_refuses_a_threshold_window_other_than_the_models(self, pipeline_dir, capsys):
+        th = json.loads((pipeline_dir / "th.json").read_text())
+        th["window"]["timesteps"] = 3  # the model's window is 10
+        edited = pipeline_dir / "th_window3.json"
+        edited.write_text(json.dumps(th))
+        out = pipeline_dir / "window3_verdicts.csv"
+        capsys.readouterr()
+        assert run("detect", "--thresholds", edited,
+                   "--input", pipeline_dir / "prep" / "test.csv", "--out", out) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {edited} records window 3, but its model "
+                       f"{pipeline_dir / 'model.json'} has window 10"], err
+        assert not out.exists()
+
     def test_version_1_threshold_file_is_unsupported(self, pipeline_dir, capsys):
         th = json.loads((pipeline_dir / "th.json").read_text())
         th["version"] = 1
@@ -457,6 +471,27 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert not (tmp_path / "r.json").exists()
+
+    def test_non_binary_label_is_named_as_a_plain_number(self, tmp_path, capsys):
+        verdicts = tmp_path / "v.csv"
+        verdicts.write_text("row_index,score,verdict,label\n0,0.1,0,0\n1,0.5,1,2\n")
+        capsys.readouterr()
+        assert run("evaluate", "--verdicts", verdicts, "--out", tmp_path / "r.json") == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: labels contains non-binary value(s): [2]"], err
+
+    @pytest.mark.parametrize("row,message", [
+        ("1,abc,1,1", "line 4: score, verdict and label must be numbers, got ['abc', '1', '1']"),
+        ("1,0.2", "line 4: score, verdict and label must be numbers, got ['0.2', None, None]"),
+        ("1,inf,1,1", "line 4: non-finite score inf"),
+    ], ids=["non-numeric-score", "short-row", "inf-score"])
+    def test_malformed_verdict_row_names_its_line(self, tmp_path, capsys, row, message):
+        # the blank line counts: the bad row is on line 4
+        verdicts = tmp_path / "v.csv"
+        verdicts.write_text(f"row_index,score,verdict,label\n0,0.1,0,0\n\n{row}\n2,0.3,0,0\n")
+        capsys.readouterr()
+        assert run("evaluate", "--verdicts", verdicts, "--out", tmp_path / "r.json") == 3
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {verdicts}, {message}"]
 
     @pytest.mark.parametrize("content", [
         b'{"train_loss": [0.1',  # truncated JSON

@@ -1,8 +1,17 @@
+import csv
 import json
+import math
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flowsentry import ingest
 from flowsentry.errors import (
     DataError,
     ModelFormatError,
@@ -21,7 +30,6 @@ from flowsentry.ingest import (
     parse_csv,
     save_scaler,
     split_benign,
-    to_dataset,
     write_csv,
 )
 
@@ -56,34 +64,34 @@ class TestFeatureSpec:
 class TestParseCsv:
     def test_benign_label_encodes_to_zero(self, tmp_path):
         path = write(tmp_path, "A,B,Label\n1,2,BENIGN\n")
-        records = parse_csv(path, SPEC2)
-        assert len(records) == 1
-        assert records[0].label == 0
-        assert records[0].features.tolist() == [1.0, 2.0]
+        ds = parse_csv(path, SPEC2)
+        assert len(ds) == 1
+        assert ds.labels.tolist() == [0]
+        assert ds.matrix.tolist() == [[1.0, 2.0]]
 
     def test_non_benign_label_encodes_to_one(self, tmp_path):
         path = write(tmp_path, "A,B,Label\n1,2,DrDoS_DNS\n3,4,benign\n")
-        records = parse_csv(path, SPEC2)
-        assert [r.label for r in records] == [1, 0]  # case-insensitive benign
+        ds = parse_csv(path, SPEC2)
+        assert ds.labels.tolist() == [1, 0]  # case-insensitive benign
 
     def test_header_whitespace_is_trimmed(self, tmp_path):
         path = write(tmp_path, " A, B , Label\n1,2,BENIGN\n")
-        records = parse_csv(path, SPEC2)
-        assert len(records) == 1
+        ds = parse_csv(path, SPEC2)
+        assert len(ds) == 1
 
     def test_infinity_row_is_skipped_and_counted(self, tmp_path, caplog):
         text = "A,B,Label\n1,2,BENIGN\n3,Infinity,BENIGN\n5,6,BENIGN\n7,8,DrDoS_DNS\n"
         path = write(tmp_path, text)
         with caplog.at_level("WARNING"):
-            records = parse_csv(path, SPEC2)
-        assert len(records) == 3
+            ds = parse_csv(path, SPEC2)
+        assert len(ds) == 3
         assert "skipped 1" in caplog.text
 
     def test_non_numeric_cell_is_skipped(self, tmp_path):
         path = write(tmp_path, "A,B,Label\nfoo,2,BENIGN\n3,4,BENIGN\n")
-        records = parse_csv(path, SPEC2)
-        assert len(records) == 1
-        assert records[0].row == 1  # original data-row index survives
+        ds = parse_csv(path, SPEC2)
+        assert len(ds) == 1
+        assert ds.rows.tolist() == [1]  # original data-row index survives
 
     def test_missing_column_names_the_column(self, tmp_path):
         path = write(tmp_path, "A,Label\n1,BENIGN\n")
@@ -97,8 +105,8 @@ class TestParseCsv:
     def test_every_parsed_label_is_binary(self, tmp_path):
         rows = "\n".join(f"{i},{i},label-{i}" for i in range(20))
         path = write(tmp_path, f"A,B,Label\n{rows}\n")
-        records = parse_csv(path, SPEC2)
-        assert set(r.label for r in records) <= {0, 1}
+        ds = parse_csv(path, SPEC2)
+        assert set(ds.labels.tolist()) <= {0, 1}
 
 
 class TestClean:
@@ -109,7 +117,8 @@ class TestClean:
         return parse_csv(write(tmp_path, f"A,B,Label\n{body}"), SPEC2)
 
     def test_empty_input(self, tmp_path):
-        assert self.parse(tmp_path) == []
+        ds = self.parse(tmp_path)
+        assert len(ds) == 0 and ds.matrix.shape == (0, 2)
 
     def test_single_nan_record_removed(self, tmp_path):
         rows = [(1, 2), ("nan", 2)] + [(i, i) for i in range(3)]
@@ -124,15 +133,106 @@ class TestClean:
         assert len(survivors) == 8
         assert "skipped 2" in caplog.text
         # order preserved, source rows kept
-        assert [r.features[0] for r in survivors] == [float(i) for i in range(8)]
-        assert [r.row for r in survivors] == [0, 1, 2, 4, 5, 6, 8, 9]
+        assert survivors.matrix[:, 0].tolist() == [float(i) for i in range(8)]
+        assert survivors.rows.tolist() == [0, 1, 2, 4, 5, 6, 8, 9]
 
     def test_idempotent(self, tmp_path):
         once = self.parse(tmp_path, (1, "nan"), (2, 3), ("inf", 1))
-        again, ds = tmp_path / "again.csv", to_dataset(once)
-        write_csv(again, ds.matrix, ds.labels, SPEC2)
+        again = tmp_path / "again.csv"
+        write_csv(again, once.matrix, once.labels, SPEC2)
         twice = parse_csv(again, SPEC2)
-        assert [r.features.tolist() for r in twice] == [r.features.tolist() for r in once]
+        assert twice.matrix.tolist() == once.matrix.tolist()
+
+
+def oracle_parse(path, spec):
+    """Row by row: float() each feature cell, keep the row if every value is
+    finite, and number the rows as enumerate() over the csv reader does."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        columns = {name.strip(): i for i, name in enumerate(next(reader))}
+        feature_idx = [columns[c] for c in spec.names]
+        label_idx = columns[spec.label_column]
+        matrix, labels, rows, skipped = [], [], [], 0
+        for row_no, row in enumerate(reader):
+            if not row:
+                continue
+            try:
+                values = [float(row[i]) for i in feature_idx]
+                label_text = row[label_idx]
+            except (ValueError, IndexError):
+                skipped += 1
+                continue
+            if not all(math.isfinite(v) for v in values):
+                skipped += 1
+                continue
+            matrix.append(values)
+            labels.append(0 if label_text.strip().upper() == "BENIGN" else 1)
+            rows.append(row_no)
+    return np.array(matrix, dtype=float).reshape(-1, spec.m), labels, rows, skipped
+
+
+# CICFlowMeter-like layout: leading-space and trailing-space headers, extra
+# columns on both sides of the features, the label before the last column
+HEADER = ["Flow ID", " A", " Extra", "B ", " Label", "Tail"]
+FEATURE_CELL = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["Infinity", "-Infinity", "NaN", "nan", "inf", "abc", "", " 1.5 ", "1e400", "0x10"]),
+)
+LABEL_CELL = st.sampled_from([" benign ", "BENIGN", "benign", "DrDoS_DNS", "attack", ""])
+EXTRA_CELL = st.sampled_from(["x", "a,b", 'say "hi"', "", "line\nbreak"])
+FULL_ROW = st.tuples(EXTRA_CELL, FEATURE_CELL, EXTRA_CELL, FEATURE_CELL, LABEL_CELL, EXTRA_CELL).map(list)
+CSV_ROW = st.one_of(
+    FULL_ROW,
+    FULL_ROW,
+    st.just([]),  # a blank line
+    st.tuples(FULL_ROW, st.integers(1, 4)).map(lambda r: r[0][: r[1]]),  # a short row
+)
+
+
+class TestParseCsvEquivalence:
+    """parse_csv, block by block, equals the row-by-row oracle at any block size."""
+
+    @pytest.mark.parametrize("block", [1, 7, ingest.PARSE_BLOCK])
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(CSV_ROW, max_size=40), quote_all=st.booleans())
+    def test_matches_the_row_by_row_oracle(self, block, rows, quote_all):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = Path(tmp) / "flows.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh, quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
+                writer.writerow(HEADER)
+                writer.writerows(rows)
+            mp.setattr(ingest, "PARSE_BLOCK", block)
+            with mock.patch.object(ingest.logger, "warning") as warn:
+                ds = parse_csv(path, SPEC2)
+            matrix, labels, source_rows, skipped = oracle_parse(path, SPEC2)
+        assert ds.matrix.shape == matrix.shape and ds.matrix.tobytes() == matrix.tobytes()
+        assert ds.labels.tolist() == labels
+        assert ds.rows.tolist() == source_rows
+        if skipped:
+            warn.assert_called_once_with("%s: skipped %d malformed row(s)", path, skipped)
+        else:
+            warn.assert_not_called()
+
+
+class TestParseMemory:
+    def test_peak_above_the_output_does_not_grow_with_the_row_count(self, tmp_path):
+        # the block bounds the row strings held at once; a parser that holds
+        # every row (say, list(reader)) has an excess that grows with n
+        def excess(n):
+            path = tmp_path / f"{n}.csv"
+            write_csv(path, np.random.default_rng(0).uniform(0, 1e3, (n, 5)), np.zeros(n, dtype=int))
+            tracemalloc.start()
+            try:
+                ds = parse_csv(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(ds) == n
+            return peak - (ds.matrix.nbytes + ds.labels.nbytes + ds.rows.nbytes)
+
+        small, large = excess(10_000), excess(40_000)
+        assert large < 1.1 * small, (small, large)
 
 
 class TestScaler:
@@ -300,6 +400,6 @@ class TestWriteCsv:
         labels = np.array([0] * 6 + [1] * 6)
         path = tmp_path / "out.csv"
         write_csv(path, matrix, labels, SPEC2)
-        ds = to_dataset(parse_csv(path, SPEC2))
+        ds = parse_csv(path, SPEC2)
         assert np.allclose(ds.matrix, matrix)
         assert np.array_equal(ds.labels, labels)

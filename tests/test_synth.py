@@ -86,8 +86,8 @@ class TestGenCsv:
             attack = parse_csv(attack_path)
         assert len(benign) == 200 and len(attack) == 50
         assert "skipped" not in caplog.text
-        assert all(r.label == 0 for r in benign)
-        assert all(r.label == 1 for r in attack)
+        assert benign.labels.tolist() == [0] * 200
+        assert attack.labels.tolist() == [1] * 50
 
     def test_feature_count_must_match_spec(self, tmp_path):
         with pytest.raises(ParameterError):
