@@ -8,7 +8,6 @@ flagged only when its score is strictly above that threshold.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -34,7 +33,7 @@ from .windowing import WindowConfig, make_windows
 
 THRESHOLD_FILE_VERSION = 2
 
-SCORE_CHUNK = 256  # windows per forward pass in score_matrix: peak ~ t*4u*SCORE_CHUNK*8 bytes
+SCORE_CHUNK = 256  # windows per forward pass in score_matrix: peak ~ t*(u+m)*SCORE_CHUNK*8 bytes
 
 
 @dataclass
@@ -105,20 +104,50 @@ def classify(scores: np.ndarray, threshold: float) -> np.ndarray:
     return (np.asarray(scores, dtype=float) > threshold).astype(int)
 
 
-def score_matrix(scaled: np.ndarray, weights: ModelWeights, window: WindowConfig) -> np.ndarray:
-    """Score an already-scaled matrix, SCORE_CHUNK windows per forward pass."""
-    windows = make_windows(scaled, window)
-    sums = np.zeros((len(scaled), windows.shape[2]))
-    for start in range(0, len(windows), SCORE_CHUNK):
-        recon = autoencoder.forward(weights, windows[start : start + SCORE_CHUNK], mode="infer")
-        scores = per_sample_errors(scaled, recon, start, sums)
-    return scores
+@dataclass
+class Carry:
+    """What `score_matrix` keeps between the blocks of a stream: the rows from
+    the first window not yet scored on, the error sums that the scored
+    windows added to them, and the count of rows before them. Carry() starts
+    a stream."""
+
+    rows: np.ndarray | None = None  # (k, m) scaled
+    sums: np.ndarray | None = None  # (k, m)
+    done: int = 0
 
 
-def training_fingerprint(matrix: np.ndarray) -> str:
-    """sha256 over the raw float64 bytes of the (scaled) training matrix."""
-    x = np.ascontiguousarray(np.asarray(matrix, dtype=float))
-    return hashlib.sha256(x.tobytes()).hexdigest()
+def score_matrix(
+    scaled: np.ndarray, weights: ModelWeights, window: WindowConfig,
+    carry: Carry | None = None, last: bool = True,
+) -> np.ndarray:
+    """Score an already-scaled matrix, SCORE_CHUNK windows per forward pass.
+
+    Without a carry, `scaled` is the whole matrix: the one-block stream. To
+    stream, pass the blocks in order with one Carry, and last=True with the
+    final block only; each call returns the scores of the rows that no later
+    window holds, in order, and leaves the rest in the carry. Chunks start at
+    the same windows as on the whole matrix, so the scores are bit-identical.
+    """
+    x = np.asarray(scaled, dtype=float)
+    carry = carry or Carry()
+    sums = np.zeros(x.shape)
+    if carry.rows is not None:
+        x, sums = np.concatenate([carry.rows, x]), np.concatenate([carry.sums, sums])
+    t = window.timesteps
+    w = len(x) - t + 1
+    end = w if last else max(w, 0) // SCORE_CHUNK * SCORE_CHUNK  # the windows scored now
+    if end > 0 or last and not carry.done:  # a stream of fewer than t rows raises here
+        windows = make_windows(x, window)
+        for start in range(0, end, SCORE_CHUNK):
+            # not bound to a name, so no chunk's reconstruction outlives its use
+            chunk = windows[start : start + SCORE_CHUNK]
+            per_sample_errors(x, autoencoder.forward(weights, chunk, mode="infer"), start, sums)
+    k = len(x) if last else end  # the rows no later window holds
+    # windows holding stream row i: at least t rows follow every row finished before the end
+    i, n = np.arange(carry.done, carry.done + k), carry.done + len(x)
+    counts = np.minimum(np.minimum(i + 1, n - i), min(t, n - t + 1))
+    carry.rows, carry.sums, carry.done = x[k:], sums[k:], carry.done + k
+    return (sums[:k] / counts[:, None]).mean(axis=1)
 
 
 def _created_stamp() -> str:
@@ -148,7 +177,7 @@ def load_threshold(path: str | Path) -> ThresholdModel:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DataError(f"cannot read threshold file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
     if doc.get("version") != THRESHOLD_FILE_VERSION:
         raise ModelFormatError(

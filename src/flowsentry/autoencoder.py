@@ -28,6 +28,7 @@ from .lstm import (
     DenseParams,
     LstmParams,
     adam_step,
+    cache_size,
     dense_backward,
     dense_forward,
     dropout_mask,
@@ -145,12 +146,21 @@ def _forward(weights: ModelWeights, x: np.ndarray, mode: str, rng, keep_cache: b
     if training and rng is None:
         raise ParameterError("train-mode forward with dropout requires an rng")
 
-    encoded, enc_cache = lstm_layer_forward(weights.encoder, x, False, keep_cache=keep_cache)
+    # both layers' caches in one allocation: a block that large stays in the
+    # allocator's heap from one training step to the next, where blocks of a
+    # few MB each are handed back to the system and faulted in again per step
+    size = cache_size(x.shape[0], cfg.timesteps, cfg.units) if keep_cache else 0
+    store = np.empty(2 * size)
+    encoded, enc_cache = lstm_layer_forward(
+        weights.encoder, x, False, keep_cache=keep_cache, store=store[:size]
+    )
     enc_mask = dropout_mask(encoded.shape, cfg.dropout, rng) if training else None
     bottleneck = encoded * enc_mask if enc_mask is not None else encoded
     # a stride-0 view: the decoder projects the bottleneck once, not t times
     repeated = np.broadcast_to(bottleneck[:, None, :], (x.shape[0], cfg.timesteps, cfg.units))
-    decoded, dec_cache = lstm_layer_forward(weights.decoder, repeated, True, keep_cache=keep_cache)
+    decoded, dec_cache = lstm_layer_forward(
+        weights.decoder, repeated, True, keep_cache=keep_cache, store=store[size:]
+    )
     dec_mask = dropout_mask(decoded.shape, cfg.dropout, rng) if training else None
     dec_out = decoded * dec_mask if dec_mask is not None else decoded
     recon = dense_forward(weights.projection, dec_out)
@@ -268,7 +278,7 @@ def load(path: str | Path) -> ModelWeights:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
     if doc.get("version") != MODEL_FILE_VERSION:
         raise ModelFormatError(f"{path}: unsupported model file version {doc.get('version')!r}")

@@ -19,7 +19,7 @@ import os
 import sys
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -113,6 +113,8 @@ def _load_labeled_rows(path: str, spec: FeatureSpec, want_label: int, side: str)
 
 # The pipeline core: one array-in/array-out function per step. The stage
 # commands only read and write the files around them; sweep chains them in memory.
+# calibrate and detect score their file block by block (_stream_scores) with the
+# anomaly.score_matrix that sweep runs on its whole matrices.
 
 
 def _split(
@@ -125,13 +127,35 @@ def _split(
     return train, ingest.assemble_test_set(held, attacks, cfg["attack_frac"], cfg["seed"]), scaler
 
 
-def _read_scaled(path: str, scaler: ingest.Scaler, label_col: str) -> tuple[np.ndarray, ...]:
-    """The scaler's feature columns of a flow CSV, scaled, with the label and
-    the 0-based source data-row index of every row the parser kept."""
+def _read_scaled(path: str, scaler: ingest.Scaler, label_col: str) -> np.ndarray:
+    """The scaler's feature columns of a flow CSV, scaled."""
     ds = ingest.parse_csv(path, FeatureSpec(scaler.feature_names, label_col))
     if not len(ds):
         raise DataError(f"{path}: no usable rows")
-    return ingest.apply_scaler(ds.matrix, scaler), ds.labels, ds.rows
+    return ingest.apply_scaler(ds.matrix, scaler)
+
+
+def _stream_scores(
+    path: str, scaler: ingest.Scaler, label_col: str, weights: autoencoder.ModelWeights
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Score a flow CSV block by block, in memory that does not grow with its
+    rows: yields each block's scaled matrix, then the scores, labels and
+    source row indices of the rows that block finished (see
+    anomaly.score_matrix)."""
+    window = WindowConfig(timesteps=weights.config.timesteps)
+    carry, labels, rows = anomaly.Carry(), np.empty(0, dtype=int), np.empty(0, dtype=int)
+    blocks = ingest.read_blocks(path, FeatureSpec(scaler.feature_names, label_col))
+    for ds, following in itertools.pairwise(itertools.chain(blocks, [None])):
+        last = following is None
+        if last and not carry.done + len(rows) + len(ds):
+            break
+        scaled = ingest.apply_scaler(ds.matrix, scaler)
+        scores = anomaly.score_matrix(scaled, weights, window, carry, last)
+        labels, rows = np.concatenate([labels, ds.labels]), np.concatenate([rows, ds.rows])
+        yield scaled, scores, labels[: len(scores)], rows[: len(scores)]
+        labels, rows = labels[len(scores) :], rows[len(scores) :]
+    if not carry.done:
+        raise DataError(f"{path}: no usable rows")
 
 
 def _fit(scaled: np.ndarray, cfg: dict) -> tuple[autoencoder.ModelWeights, autoencoder.TrainReport]:
@@ -148,21 +172,6 @@ def _fit(scaled: np.ndarray, cfg: dict) -> tuple[autoencoder.ModelWeights, autoe
         seed=cfg["seed"],
     )
     return autoencoder.train(autoencoder.build(config), windows)
-
-
-def _calibrate(scaled: np.ndarray, weights: autoencoder.ModelWeights) -> float:
-    """The threshold: the maximum per-sample score on the scaled benign training matrix."""
-    window = WindowConfig(timesteps=weights.config.timesteps)
-    return anomaly.calibrate(anomaly.score_matrix(scaled, weights, window))
-
-
-def _detect(
-    scaled: np.ndarray, weights: autoencoder.ModelWeights, threshold: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample scores of a scaled matrix and their verdicts (1 = above the threshold)."""
-    window = WindowConfig(timesteps=weights.config.timesteps)
-    scores = anomaly.score_matrix(scaled, weights, window)
-    return scores, anomaly.classify(scores, threshold)
 
 
 def _evaluate_arrays(
@@ -222,8 +231,7 @@ def cmd_preprocess(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
-    # [0]: the labels and row indices are not kept alive through training
-    scaled = _read_scaled(args.input, ingest.load_scaler(args.scaler), cfg["label_col"])[0]
+    scaled = _read_scaled(args.input, ingest.load_scaler(args.scaler), cfg["label_col"])
     weights, report = _fit(scaled, cfg)
     autoencoder.save(weights, args.out)
     if args.history:
@@ -251,22 +259,27 @@ def _load_model(path: str) -> tuple[autoencoder.ModelWeights, str]:
 def cmd_calibrate(args: argparse.Namespace, cfg: dict) -> int:
     weights, model_sha256 = _load_model(args.model)
     scaler = ingest.load_scaler(args.scaler)
-    scaled = _read_scaled(args.input, scaler, cfg["label_col"])[0]
-    threshold = _calibrate(scaled, weights)
+    # block by block: the maximum score (the threshold, as anomaly.calibrate
+    # sets it), the row count and the sha256 of the scaled matrix's bytes
+    threshold, samples, fingerprint = -np.inf, 0, hashlib.sha256()
+    for scaled, scores, _, _ in _stream_scores(args.input, scaler, cfg["label_col"], weights):
+        threshold = scores.max(initial=threshold)
+        samples += len(scaled)
+        fingerprint.update(np.ascontiguousarray(scaled))
     tm = anomaly.ThresholdModel(
-        threshold=threshold,
+        threshold=float(threshold),
         scaler=scaler,
         window=WindowConfig(timesteps=weights.config.timesteps),
         # relative to the threshold file, so the pair can move together
         model_path=os.path.relpath(args.model, Path(args.out).parent),
         model_sha256=model_sha256,
         provenance={
-            "training_fingerprint": anomaly.training_fingerprint(scaled),
+            "training_fingerprint": fingerprint.hexdigest(),
             "config": cfg,
         },
     )
     anomaly.save_threshold(tm, args.out)
-    print(f"calibrate: threshold {threshold!r} over {len(scaled)} samples -> {args.out}")
+    print(f"calibrate: threshold {tm.threshold!r} over {samples} samples -> {args.out}")
     return EXIT_OK
 
 
@@ -282,15 +295,23 @@ def cmd_detect(args: argparse.Namespace, cfg: dict) -> int:
     if tm.window.timesteps != weights.config.timesteps:
         raise DataError(f"{args.thresholds} records window {tm.window.timesteps}, but its model "
                         f"{model_path} has window {weights.config.timesteps}")
-    scaled, labels, rows = _read_scaled(args.input, tm.scaler, cfg["label_col"])
-    scores, verdicts = _detect(scaled, weights, tm.threshold)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("row_index,score,verdict,label\n")
-        for start in range(0, len(rows), ingest.PARSE_BLOCK):
-            block = slice(start, start + ingest.PARSE_BLOCK)
-            columns = (rows[block], scores[block], verdicts[block], labels[block])
-            fh.write("".join(map("%d,%r,%d,%d\n".__mod__, zip(*(c.tolist() for c in columns)))))
-    print(f"detect: {int(verdicts.sum())}/{verdicts.size} sample(s) flagged -> {args.out}")
+    # written block by block to a file beside --out that replaces it only once
+    # every row is scored, so a failed run leaves no partial verdicts
+    part, flagged, samples = f"{args.out}.part", 0, 0
+    try:
+        with open(part, "w", encoding="utf-8", newline="") as fh:
+            fh.write("row_index,score,verdict,label\n")
+            stream = _stream_scores(args.input, tm.scaler, cfg["label_col"], weights)
+            for _, scores, labels, rows in stream:
+                verdicts = anomaly.classify(scores, tm.threshold)
+                columns = (rows, scores, verdicts, labels)
+                fh.write("".join(map("%d,%r,%d,%d\n".__mod__, zip(*(c.tolist() for c in columns)))))
+                flagged, samples = flagged + int(verdicts.sum()), samples + len(verdicts)
+        os.replace(part, args.out)
+    except BaseException:
+        Path(part).unlink(missing_ok=True)
+        raise
+    print(f"detect: {flagged}/{samples} sample(s) flagged -> {args.out}")
     return EXIT_OK
 
 
@@ -298,11 +319,7 @@ def _read_verdicts(path: str, size: int = ingest.PARSE_BLOCK) -> tuple[np.ndarra
     """The score, verdict and label columns, converted `size` rows at a time. A
     malformed file is read again one row at a time, so that the error names the
     line of its first bad row."""
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read verdicts file {path}: {exc}") from exc
-    with fh:
+    with ingest.open_text(path) as fh:
         reader = csv.reader(fh)
         header = {name: i for i, name in enumerate(next(reader, []))}
         if not header.keys() >= {"score", "verdict", "label"}:
@@ -314,7 +331,7 @@ def _read_verdicts(path: str, size: int = ingest.PARSE_BLOCK) -> tuple[np.ndarra
             try:
                 part = [np.array(list(map(kind, map(itemgetter(i), rows))), dtype=kind)
                         for kind, i in zip((float, int, int), columns)]
-            except (IndexError, ValueError) as exc:
+            except (IndexError, ValueError, OverflowError) as exc:  # Overflow: beyond int64
                 if size > 1:
                     return _read_verdicts(path, 1)
                 cells = [rows[0][i] if i < len(rows[0]) else None for i in columns]
@@ -385,8 +402,11 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
         cell = dict(cfg, window=window, batch=batch, lr=lr)
         logger.info("sweep cell: window=%d batch=%d lr=%g", window, batch, lr)
         weights, fit = _fit(scaled_train, cell)
-        threshold = _calibrate(scaled_train, weights)
-        scores, verdicts = _detect(scaled_test, weights, threshold)
+        # the staged calibrate and detect, each on its whole matrix as one block
+        train_scores = anomaly.score_matrix(scaled_train, weights, WindowConfig(window))
+        threshold = anomaly.calibrate(train_scores)
+        scores = anomaly.score_matrix(scaled_test, weights, WindowConfig(window))
+        verdicts = anomaly.classify(scores, threshold)
         metadata = {"config": cell, "threshold": threshold, **_epoch_timing(fit.epoch_seconds)}
         reports.append(_evaluate_arrays(scores, verdicts, test.labels, metadata))
     evaluation.write_sweep_csv(reports, args.out)

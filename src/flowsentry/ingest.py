@@ -12,11 +12,12 @@ import csv
 import json
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -114,24 +115,33 @@ class Dataset:
         return self.matrix.shape[1]
 
 
-def parse_csv(path: str | Path, spec: FeatureSpec | None = None) -> Dataset:
-    """Parse one flow CSV into a Dataset whose `rows` are the 0-based source
-    data-row indices, blank lines counted.
-
-    Header names are matched after stripping surrounding whitespace. A label
-    equal to "BENIGN" (case-insensitive) encodes to 0, everything else to 1.
-    Rows whose feature cells fail to parse or parse to non-finite values are
-    skipped; the skip count is logged. Rows are converted `PARSE_BLOCK` at a
-    time (see `to_dataset`) into arrays sized up front.
-    """
-    spec = spec or FeatureSpec()
+@contextmanager
+def open_text(path: str | Path) -> Iterator[TextIO]:
+    """`path` opened as UTF-8 text for the csv module. A file that cannot be
+    opened, or holds a byte that is not UTF-8, is a DataError naming it."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
-        size = sum(1 for _ in fh) - 1  # no fewer than the data rows: a row takes 1+ lines
-        fh.seek(0)
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def read_blocks(path: str | Path, spec: FeatureSpec | None = None) -> Iterator[Dataset]:
+    """The rows of one flow CSV, `PARSE_BLOCK` csv rows at a time, as one
+    Dataset per block (see `to_dataset`; a block may keep no row) whose `rows`
+    are the 0-based source data-row indices, blank lines counted.
+
+    Header names are matched after stripping surrounding whitespace. A label
+    equal to "BENIGN" (case-insensitive) encodes to 0, everything else to 1.
+    Rows whose feature cells fail to parse or parse to non-finite values are
+    skipped; the skip count is logged once the file has been read.
+    """
+    spec = spec or FeatureSpec()
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -141,18 +151,31 @@ def parse_csv(path: str | Path, spec: FeatureSpec | None = None) -> Dataset:
         if missing:
             raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
         wanted = [columns[c] for c in (*spec.names, spec.label_column)]
-        out = [np.empty((size, spec.m)), np.empty(size, dtype=int), np.empty(size, dtype=int)]
-        n = seen = skipped = 0
+        seen = skipped = 0
         while block := list(islice(reader, PARSE_BLOCK)):
             part = to_dataset(block, seen, wanted)
-            for column, values in zip(out, (part.matrix, part.labels, part.rows)):
-                column[n : n + len(part)] = values
             skipped += len(block) - block.count([]) - len(part)
-            seen, n = seen + len(block), n + len(part)
-    for column in out:  # in place: a shrinking realloc keeps one copy of the data
-        column.resize((n, *column.shape[1:]), refcheck=False)
+            seen += len(block)
+            del block  # the row strings are not held while the consumer uses the part
+            yield part
     if skipped:
         logger.warning("%s: skipped %d malformed row(s)", path, skipped)
+
+
+def parse_csv(path: str | Path, spec: FeatureSpec | None = None) -> Dataset:
+    """Every block of `read_blocks` in one Dataset, copied into arrays sized
+    up front from a line count."""
+    spec = spec or FeatureSpec()
+    with open_text(path) as fh:
+        size = max(sum(1 for _ in fh) - 1, 0)  # no fewer than the data rows: a row takes 1+ lines
+    out = [np.empty((size, spec.m)), np.empty(size, dtype=int), np.empty(size, dtype=int)]
+    n = 0
+    for part in read_blocks(path, spec):
+        for column, values in zip(out, (part.matrix, part.labels, part.rows)):
+            column[n : n + len(part)] = values
+        n += len(part)
+    for column in out:  # in place: a shrinking realloc keeps one copy of the data
+        column.resize((n, *column.shape[1:]), refcheck=False)
     return Dataset(*out)
 
 
@@ -289,7 +312,7 @@ def load_scaler(path: str | Path) -> Scaler:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DataError(f"cannot read scaler file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
     return scaler_from_doc(doc, path)
 

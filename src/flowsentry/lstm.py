@@ -9,7 +9,8 @@ shape (units + input_dim, 4 * units) acting on the row vector [h_prev, x],
 and one bias ``b`` of shape (4 * units,). Column blocks are ordered
 [f, i, o, g], so the three sigmoid gates are contiguous. The input rows
 ``w[units:]`` are applied to the whole sequence in one product before the
-time loop; only the recurrent rows ``w[:units]`` are applied per step.
+time loop (in inference, without a cache, one step at a time); only the
+recurrent rows ``w[:units]`` are applied per step.
 Layer functions take a batch of sequences (b, t, d); gradients mirror the
 input shapes.
 """
@@ -116,15 +117,22 @@ def lstm_cell_forward(
     np.multiply(z[2 * u : 3 * u], tc, out=h)
 
 
+def cache_size(b: int, t: int, units: int) -> int:
+    """Floats in the cache arrays of one layer's forward pass over a (b, t, .) batch."""
+    return (6 * t + 2) * units * b
+
+
 def lstm_layer_forward(
-    params: LstmParams, seq: np.ndarray, return_sequences: bool = False, *, keep_cache: bool = True
+    params: LstmParams, seq: np.ndarray, return_sequences: bool = False, *,
+    keep_cache: bool = True, store: np.ndarray | None = None,
 ) -> tuple[np.ndarray, LayerCache | None]:
     """Run the cell over a sequence from a zero state.
 
     seq: (b, t, input_dim). An input repeated along time (a stride-0 view, as
     the decoder receives) is projected once, not t times. Returns all hidden
     states (b, t, units) when return_sequences, else the final hidden state
-    (b, units), plus the cache for the backward pass;
+    (b, units), plus the cache for the backward pass, whose arrays are laid
+    out in `store` (cache_size floats) when one is given;
     with keep_cache=False the states live in two-slot buffers and the cache
     is None.
     """
@@ -144,12 +152,22 @@ def lstm_layer_forward(
     if not np.isfinite(xs).all():
         raise NumericError("non-finite value in layer input")
 
-    # the hoisted input projection, for all timesteps before the loop, as (n, 4u, b)
-    pre = np.matmul(params.w[u:].T, xs.transpose(1, 2, 0))
-    pre += params.b[:, None]
-    gates = np.empty((t if keep_cache else 1, 4 * u, b)) if repeated else pre
-    hs = np.empty((t + 1 if keep_cache or return_sequences else 2, u, b))
-    cs = np.empty((t + 1 if keep_cache else 2, u, b))
+    if keep_cache:
+        store = np.empty(cache_size(b, t, u)) if store is None else store
+        gates = store[: 4 * t * u * b].reshape(t, 4 * u, b)
+        hs, cs = store[4 * t * u * b : cache_size(b, t, u)].reshape(2, t + 1, u, b)
+    else:
+        gates, cs = np.empty((1, 4 * u, b)), np.empty((2, u, b))
+        hs = np.empty((t + 1 if return_sequences else 2, u, b))
+    # the input projection as (n, 4u, b): once for a repeated input, for every
+    # timestep before the loop when the cache keeps them, else per step into
+    # the one gate slot
+    if repeated:
+        pre = np.matmul(params.w[u:].T, xs.transpose(1, 2, 0))
+        pre += params.b[:, None]
+    elif keep_cache:
+        np.matmul(params.w[u:].T, xs.transpose(1, 2, 0), out=gates)
+        gates += params.b[:, None]
     tc = np.empty((u, b))  # tanh(c) of the current step; the backward pass recomputes it
     hs[0] = 0.0
     cs[0] = 0.0
@@ -158,6 +176,9 @@ def lstm_layer_forward(
         z = gates[j % len(gates)]
         if repeated:
             z[...] = pre[0]
+        elif not keep_cache:
+            np.matmul(params.w[u:].T, xs[:, j].T, out=z)
+            z += params.b[:, None]
         lstm_cell_forward(
             params, z, hs[j % nh], cs[j % nc], hs[(j + 1) % nh], cs[(j + 1) % nc], tc
         )
@@ -254,11 +275,19 @@ class DenseParams:
 
 
 def dense_forward(params: DenseParams, x: np.ndarray) -> np.ndarray:
-    """y = x @ W.T + b over the trailing axis; any leading shape, one GEMM."""
+    """y = x @ W.T + b over the trailing axis; any leading shape, one GEMM.
+
+    A (b, t, u) view that reshaping would copy, as the decoder's transposed
+    states are, is projected one timestep at a time and returned as a view.
+    """
     x = np.asarray(x, dtype=float)
     out_dim, in_dim = params.weight.shape
     if x.shape[-1] != in_dim:
         raise ShapeError(f"input has {x.shape[-1]} feature(s), dense expects {in_dim}")
+    if x.ndim == 3 and not x.flags.c_contiguous:
+        y = np.matmul(x.transpose(1, 0, 2), params.weight.T)
+        y += params.bias
+        return y.transpose(1, 0, 2)
     y = x.reshape(-1, in_dim) @ params.weight.T
     y += params.bias
     return y.reshape(x.shape[:-1] + (out_dim,))

@@ -1,13 +1,16 @@
+import csv
 import hashlib
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsentry import anomaly, autoencoder, cli
+from flowsentry import anomaly, autoencoder, cli, ingest
 from flowsentry.anomaly import (
     ThresholdModel,
     calibrate,
@@ -182,11 +185,16 @@ def small_pipeline(tmp_path_factory):
     return tmp, spec, train_csv, attack_csv, tm, weights
 
 
+def stream(csv_path, scaler, weights, label_col="Label"):
+    """The detect stage's streamed scores, labels and source rows of a CSV, joined."""
+    parts = list(cli._stream_scores(csv_path, scaler, label_col, weights))
+    return [np.concatenate([part[i] for part in parts]) for i in (1, 2, 3)]
+
+
 def detect(csv_path, tm, weights, spec):
     """What the detect stage computes for a CSV: source rows, scores, verdicts."""
-    scaled, _, rows = cli._read_scaled(csv_path, tm.scaler, spec.label_column)
-    scores, verdicts = cli._detect(scaled, weights, tm.threshold)
-    return rows, scores, verdicts
+    scores, _, rows = stream(csv_path, tm.scaler, weights, spec.label_column)
+    return rows, scores, classify(scores, tm.threshold)
 
 
 class TestDetect:
@@ -277,6 +285,56 @@ class TestChunkedScoring:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+JUNK_ROW = st.sampled_from([[], ["1"], ["inf", "0.5", "BENIGN"], ["0.5", "nan", "x"], ["a", "1", "y"]])
+
+
+class TestStreamedScoring:
+    """Scores streamed from a CSV block by block equal the whole matrix's."""
+
+    T = 3
+
+    @pytest.fixture(scope="class")
+    def weights(self):
+        return autoencoder.build(autoencoder.ModelConfig(timesteps=self.T, features=2, units=4, seed=3))
+
+    @pytest.mark.parametrize("block", [1, 7, 512])
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_streamed_scores_equal_the_whole_matrix_and_the_oracle(self, weights, block, chunk, data):
+        t = self.T
+        n = data.draw(st.sampled_from([t - 1, t, 2 * t - 1, chunk + t - 1, chunk + t]), "kept rows")
+        values = data.draw(st.lists(st.floats(0, 10), min_size=2 * n, max_size=2 * n), "values")
+        rows = [[f"{a!r}", f"{b!r}", "BENIGN" if i % 3 else "attack"]
+                for i, (a, b) in enumerate(zip(values[::2], values[1::2]))]
+        for at, junk in data.draw(st.lists(st.tuples(st.integers(0, n), JUNK_ROW), max_size=6), "junk"):
+            rows.insert(at, junk)
+        scaler = Scaler(np.zeros(2), np.full(2, 10.0), ("A", "B"))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = Path(tmp) / "flows.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([["A", "B", "Label"], *rows])
+            mp.setattr(ingest, "PARSE_BLOCK", block)
+            mp.setattr(anomaly, "SCORE_CHUNK", chunk)
+            ds = ingest.parse_csv(path, FeatureSpec(("A", "B")))
+            assert len(ds) == n
+            x = ingest.apply_scaler(ds.matrix, scaler)
+            if n < t:
+                with pytest.raises(InsufficientDataError):
+                    stream(path, scaler, weights)
+                with pytest.raises(InsufficientDataError):
+                    score_matrix(x, weights, WindowConfig(t))
+                return
+            scores, labels, source_rows = stream(path, scaler, weights)
+            whole = score_matrix(x, weights, WindowConfig(t))
+        assert scores.tobytes() == whole.tobytes()
+        assert labels.tolist() == ds.labels.tolist() and source_rows.tolist() == ds.rows.tolist()
+        windows = make_windows(x, WindowConfig(t))
+        recon = [autoencoder.forward(weights, windows[k : k + 1])[0] for k in range(len(windows))]
+        oracle = brute_force_scores(x, np.stack(recon), t)
+        assert np.all(np.abs(scores - oracle) <= 1e-12 * oracle)
 
 
 class TestThresholdPersistence:

@@ -2,12 +2,14 @@ import csv
 import hashlib
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from flowsentry import ingest
+from flowsentry import anomaly, autoencoder, ingest
 from flowsentry.cli import build_parser, main
+from flowsentry.windowing import WindowConfig
 
 FAST = [
     "--sigma", "0.5", "--amplitude", "0.5", "--period", "300",
@@ -514,3 +516,139 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert not (tmp_path / "r.json").exists()
+
+
+class TestStreamingStages:
+    """calibrate and detect read, score and write their CSVs block by block."""
+
+    @pytest.fixture()
+    def scored(self, tmp_path, monkeypatch):
+        """An untrained window-10 model calibrated on 100 rows, with small
+        blocks and chunks so that a 200-row file takes many of them."""
+        monkeypatch.setattr(ingest, "PARSE_BLOCK", 16)
+        monkeypatch.setattr(anomaly, "SCORE_CHUNK", 8)
+        config = autoencoder.ModelConfig(timesteps=10, features=len(ingest.DEFAULT_FEATURES), seed=2)
+        autoencoder.save(autoencoder.build(config), tmp_path / "model.json")
+        write_scaler(tmp_path / "scaler.json")
+        rng = np.random.default_rng(3)
+        ingest.write_csv(tmp_path / "train.csv", rng.uniform(size=(100, 5)), np.zeros(100, dtype=int))
+        assert run("calibrate", "--model", tmp_path / "model.json", "--scaler", tmp_path / "scaler.json",
+                   "--input", tmp_path / "train.csv", "--out", tmp_path / "th.json") == 0
+        ingest.write_csv(tmp_path / "test.csv", rng.uniform(size=(200, 5)), np.zeros(200, dtype=int))
+        return tmp_path
+
+    def detect(self, root, source="test.csv"):
+        return run("detect", "--thresholds", root / "th.json", "--input", root / source,
+                   "--out", root / "verdicts.csv")
+
+    def test_calibrate_equals_the_whole_matrix(self, scored):
+        # the threshold is the maximum whole-matrix score, the fingerprint the
+        # sha256 of the whole scaled matrix, though both were taken in blocks
+        th = json.loads((scored / "th.json").read_text())
+        weights = autoencoder.load(scored / "model.json")
+        scaler = ingest.load_scaler(scored / "scaler.json")
+        x = ingest.apply_scaler(ingest.parse_csv(scored / "train.csv").matrix, scaler)
+        whole = anomaly.score_matrix(x, weights, WindowConfig(10))
+        assert th["threshold"] == float(whole.max())
+        assert th["provenance"]["training_fingerprint"] == hashlib.sha256(x.tobytes()).hexdigest()
+
+    def test_a_non_finite_value_mid_stream_leaves_no_verdicts(self, scored, capsys):
+        # a scaler whose range overflows scales 1e308 to nan; the row lies
+        # blocks after the first, whose verdict rows were already written
+        names = ingest.DEFAULT_FEATURES
+        wide = ingest.Scaler(np.full(5, -1e308), np.full(5, 1e308), names)
+        th = json.loads((scored / "th.json").read_text())
+        th["scaler"] = ingest.scaler_to_doc(wide)
+        (scored / "th.json").write_text(json.dumps(th))
+        x = np.random.default_rng(4).uniform(size=(200, 5))
+        x[150, 0] = 1e308
+        ingest.write_csv(scored / "bad.csv", x, np.zeros(200, dtype=int))
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert self.detect(scored, "bad.csv") == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert sorted(p.name for p in scored.iterdir()) == [
+            "bad.csv", "model.json", "scaler.json", "test.csv", "th.json", "train.csv"]
+
+    def test_a_bad_byte_after_the_first_block_leaves_no_verdicts(self, scored, capsys):
+        lines = (scored / "test.csv").read_bytes().splitlines(keepends=True)
+        lines[150] = lines[150].replace(b",", b",\xff\xfe", 1)
+        (scored / "bad.csv").write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert self.detect(scored, "bad.csv") == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {scored / 'bad.csv'}: not UTF-8"), err
+        assert not (scored / "verdicts.csv").exists()
+        assert not list(scored.glob("verdicts.csv*"))
+
+    def test_a_failed_run_keeps_the_earlier_verdicts(self, scored):
+        assert self.detect(scored) == 0
+        before = (scored / "verdicts.csv").read_bytes()
+        ingest.write_csv(scored / "short.csv", np.ones((5, 5)), np.zeros(5, dtype=int))
+        assert self.detect(scored, "short.csv") == 3  # fewer rows than the window
+        assert (scored / "verdicts.csv").read_bytes() == before
+        assert not list(scored.glob("verdicts.csv.*"))
+
+    def test_peaks_do_not_grow_with_the_row_count(self, tmp_path):
+        # the whole-matrix stages held about 175 bytes a row at t=10
+        config = autoencoder.ModelConfig(timesteps=10, features=5, units=16, seed=2)
+        autoencoder.save(autoencoder.build(config), tmp_path / "model.json")
+        write_scaler(tmp_path / "scaler.json")
+        rng = np.random.default_rng(5)
+
+        def peaks(n):
+            path = tmp_path / f"{n}.csv"
+            ingest.write_csv(path, rng.uniform(size=(n, 5)), np.zeros(n, dtype=int))
+            stages = {
+                "calibrate": ["calibrate", "--model", tmp_path / "model.json", "--input", path,
+                              "--scaler", tmp_path / "scaler.json", "--out", tmp_path / "th.json"],
+                "detect": ["detect", "--thresholds", tmp_path / "th.json", "--input", path,
+                           "--out", tmp_path / "verdicts.csv"],
+            }
+            out = {}
+            for stage, argv in stages.items():
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    assert run(*argv) == 0
+                    out[stage] = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+            return out
+
+        peaks(1_000)  # first use: lazy imports and caches
+        small, large = peaks(10_000), peaks(40_000)
+        for stage in small:
+            assert large[stage] < 1.1 * small[stage], (stage, small, large)
+
+
+class TestUnreadableText:
+    """A byte that is not UTF-8 is a data error naming the file, for every reader."""
+
+    @pytest.mark.parametrize("command", ["preprocess", "evaluate", "train", "detect"])
+    def test_non_utf8_input_is_one_data_error(self, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        assert run("synth", "--benign", 40, "--attack", 10, "--out", data, *FAST) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes((data / "benign.csv").read_bytes().replace(b"\n", b"\n\xff\xfe", 3))
+        argv = {
+            "preprocess": ["--benign", bad, "--attacks", data / "attack.csv", "--out", tmp_path / "p"],
+            "evaluate": ["--verdicts", bad, "--out", tmp_path / "r.json"],
+            "train": ["--input", tmp_path / "train.csv", "--scaler", bad, "--out", tmp_path / "m.json"],
+            "detect": ["--thresholds", bad, "--input", data / "benign.csv", "--out", tmp_path / "v.csv"],
+        }[command]
+        capsys.readouterr()
+        assert run(command, *argv) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(bad) in err[0], err
+
+    @pytest.mark.parametrize("row", ["1,0.5,99999999999999999999,1", "1,0.5,1,-99999999999999999999"],
+                             ids=["verdict", "label"])
+    def test_an_integer_beyond_int64_names_its_line(self, tmp_path, capsys, row):
+        verdicts = tmp_path / "v.csv"
+        verdicts.write_text(f"row_index,score,verdict,label\n0,0.1,0,0\n{row}\n")
+        capsys.readouterr()
+        assert run("evaluate", "--verdicts", verdicts, "--out", tmp_path / "r.json") == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {verdicts}, line 3: "), err
