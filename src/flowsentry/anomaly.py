@@ -33,7 +33,7 @@ from .windowing import WindowConfig, make_windows
 
 THRESHOLD_FILE_VERSION = 2
 
-SCORE_CHUNK = 256  # windows per forward pass in score_matrix: peak ~ t*(u+m)*SCORE_CHUNK*8 bytes
+SCORE_CHUNK = 256  # windows per forward pass in score_matrix: peak ~ (t*m + 22*u)*SCORE_CHUNK*8 bytes
 
 
 @dataclass
@@ -53,40 +53,22 @@ class ThresholdModel:
             raise ParameterError(f"threshold must be >= 0, got {self.threshold}")
 
 
-def per_sample_errors(
-    x: np.ndarray, recon: np.ndarray, start: int = 0, sums: np.ndarray | None = None
-) -> np.ndarray | None:
-    """Aggregate window reconstructions into per-sample scores.
-
-    For sample i and feature j, the error is the mean of
-    |recon[k][i-k][j] - x[i][j]| over every window k containing i; the
-    sample score is the mean of those per-feature errors. Edge samples
-    average over however many windows actually contain them.
-
-    With a running (n, m) `sums`, `recon` may be the chunk of windows
-    start..start+c-1, added into `sums`; scores come with the last chunk, else None.
+def per_sample_errors(x: np.ndarray, recon: np.ndarray, start: int, sums: np.ndarray) -> None:
+    """Add the errors of windows start..start+c-1 into the running (n, m) `sums`:
+    sums[i][j] gathers |recon[k][i-k][j] - x[i][j]| over every window k that
+    holds sample i; score_matrix divides by their count and averages the features.
     """
     x = np.asarray(x, dtype=float)
     recon = np.asarray(recon, dtype=float)
     if x.ndim != 2 or recon.ndim != 3:
         raise ShapeError(f"need a 2-D source and 3-D windows, got {x.ndim}-D and {recon.ndim}-D")
     (n, m), (c, t, mb) = x.shape, recon.shape
-    w = n - t + 1
-    if mb != m or start < 0 or start + c > w or (sums is None and (start, c) != (0, w)):
+    if mb != m or start < 0 or start + c > n - t + 1 or sums.shape != x.shape:
         raise ShapeError(f"windows {start}.. of shape {recon.shape} do not fit a {n}x{m} matrix")
-    if sums is None:
-        sums = np.zeros((n, m))
-
-    # window start+k holds sample start+k+o at offset o; taking the offsets in
-    # reverse adds each sample's windows in ascending order
+    # taking the offsets in reverse adds each sample's windows in ascending order
     for o in range(t - 1, -1, -1):
         lo = start + o
         sums[lo : lo + c] += np.abs(recon[:, o] - x[lo : lo + c])
-    if start + c < w:
-        return None
-    i = np.arange(n)
-    counts = np.minimum(np.minimum(i + 1, n - i), min(t, w))
-    return (sums / counts[:, None]).mean(axis=1)
 
 
 def calibrate(training_scores: np.ndarray) -> float:
@@ -122,14 +104,25 @@ def score_matrix(
 ) -> np.ndarray:
     """Score an already-scaled matrix, SCORE_CHUNK windows per forward pass.
 
-    Without a carry, `scaled` is the whole matrix: the one-block stream. To
-    stream, pass the blocks in order with one Carry, and last=True with the
-    final block only; each call returns the scores of the rows that no later
-    window holds, in order, and leaves the rest in the carry. Chunks start at
-    the same windows as on the whole matrix, so the scores are bit-identical.
+    Without a carry, `scaled` is the whole matrix, streamed in SCORE_CHUNK-row
+    blocks. To stream, pass the blocks in order with one Carry, and last=True
+    with the final block only; each call returns the scores of the rows that no
+    later window holds, in order, and leaves the rest in the carry. Chunks start
+    at the same windows whatever the blocks, so the scores are bit-identical.
     """
     x = np.asarray(scaled, dtype=float)
-    carry = carry or Carry()
+    if carry is not None:
+        return _score_block(x, weights, window, carry, last)
+    carry, scores = Carry(), np.empty(len(x))
+    for lo in range(0, max(len(x), 1), SCORE_CHUNK):  # an empty matrix raises in its one block
+        block = _score_block(x[lo : lo + SCORE_CHUNK], weights, window, carry, lo + SCORE_CHUNK >= len(x))
+        scores[carry.done - len(block) : carry.done] = block
+    return scores
+
+
+def _score_block(
+    x: np.ndarray, weights: ModelWeights, window: WindowConfig, carry: Carry, last: bool
+) -> np.ndarray:
     sums = np.zeros(x.shape)
     if carry.rows is not None:
         x, sums = np.concatenate([carry.rows, x]), np.concatenate([carry.sums, sums])

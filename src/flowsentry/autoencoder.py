@@ -158,12 +158,16 @@ def _forward(weights: ModelWeights, x: np.ndarray, mode: str, rng, keep_cache: b
     bottleneck = encoded * enc_mask if enc_mask is not None else encoded
     # a stride-0 view: the decoder projects the bottleneck once, not t times
     repeated = np.broadcast_to(bottleneck[:, None, :], (x.shape[0], cfg.timesteps, cfg.units))
+    # scoring projects each decoder state as it is made; not one window, whose states
+    # dense_forward projects in one product that can differ in the last bits
+    fused = not (keep_cache or training) and x.shape[0] > 1
     decoded, dec_cache = lstm_layer_forward(
-        weights.decoder, repeated, True, keep_cache=keep_cache, store=store[size:]
+        weights.decoder, repeated, True, keep_cache=keep_cache, store=store[size:],
+        project=weights.projection if fused else None,
     )
     dec_mask = dropout_mask(decoded.shape, cfg.dropout, rng) if training else None
     dec_out = decoded * dec_mask if dec_mask is not None else decoded
-    recon = dense_forward(weights.projection, dec_out)
+    recon = decoded if fused else dense_forward(weights.projection, dec_out)
     return recon, (enc_cache, enc_mask, dec_cache, dec_mask, dec_out)
 
 

@@ -8,9 +8,9 @@ Weight layout: the four gates of a layer are stacked in one matrix ``w`` of
 shape (units + input_dim, 4 * units) acting on the row vector [h_prev, x],
 and one bias ``b`` of shape (4 * units,). Column blocks are ordered
 [f, i, o, g], so the three sigmoid gates are contiguous. The input rows
-``w[units:]`` are applied to the whole sequence in one product before the
-time loop (in inference, without a cache, one step at a time); only the
-recurrent rows ``w[:units]`` are applied per step.
+``w[units:]`` project each distinct input row once, before the time loop;
+only the recurrent rows ``w[:units]`` are applied per step. Scoring keeps two
+state slots and projects each decoder state as it is made.
 Layer functions take a batch of sequences (b, t, d); gradients mirror the
 input shapes.
 """
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericError, ParameterError, ShapeError
 
@@ -124,17 +125,18 @@ def cache_size(b: int, t: int, units: int) -> int:
 
 def lstm_layer_forward(
     params: LstmParams, seq: np.ndarray, return_sequences: bool = False, *,
-    keep_cache: bool = True, store: np.ndarray | None = None,
+    keep_cache: bool = True, store: np.ndarray | None = None, project: DenseParams | None = None,
 ) -> tuple[np.ndarray, LayerCache | None]:
     """Run the cell over a sequence from a zero state.
 
-    seq: (b, t, input_dim). An input repeated along time (a stride-0 view, as
-    the decoder receives) is projected once, not t times. Returns all hidden
-    states (b, t, units) when return_sequences, else the final hidden state
-    (b, units), plus the cache for the backward pass, whose arrays are laid
-    out in `store` (cache_size floats) when one is given;
-    with keep_cache=False the states live in two-slot buffers and the cache
-    is None.
+    seq: (b, t, input_dim); each distinct input row is projected once: b for
+    a stride-0 repeat along time (the decoder's input), b + t - 1 for a window
+    view of b > 1 windows (x[k, j] == x[k + j, 0], as make_windows gives),
+    else b * t. Returns all hidden states (b, t, units) when return_sequences,
+    else the final one (b, units), plus the backward cache, laid out in
+    `store` (cache_size floats) when given. A dense `project` takes each state
+    as it is made, and the output is then (b, t, out). keep_cache=False
+    returns no cache and keeps two state slots unless it must return them all.
     """
     x = np.asarray(seq, dtype=float)
     if x.ndim != 3:
@@ -147,9 +149,11 @@ def lstm_layer_forward(
     if t < 1:
         raise ShapeError("sequence must contain at least one timestep")
     u = params.units
-    repeated = x.strides[1] == 0
-    xs = x[:, :1] if repeated else x
-    if not np.isfinite(xs).all():
+    s0, s1, s2 = x.strides
+    # step j reads distinct rows j*shift.. (shift 0: repeat, 1: window view, None: all b*t)
+    shift = 0 if s1 == 0 else 1 if s1 == s0 and b > 1 else None
+    rows = x if shift is None else as_strided(x, (b + shift * (t - 1), d), (s0, s2), writeable=False)
+    if not np.isfinite(rows).all():
         raise NumericError("non-finite value in layer input")
 
     if keep_cache:
@@ -157,33 +161,32 @@ def lstm_layer_forward(
         gates = store[: 4 * t * u * b].reshape(t, 4 * u, b)
         hs, cs = store[4 * t * u * b : cache_size(b, t, u)].reshape(2, t + 1, u, b)
     else:
-        gates, cs = np.empty((1, 4 * u, b)), np.empty((2, u, b))
-        hs = np.empty((t + 1 if return_sequences else 2, u, b))
-    # the input projection as (n, 4u, b): once for a repeated input, for every
-    # timestep before the loop when the cache keeps them, else per step into
-    # the one gate slot
-    if repeated:
-        pre = np.matmul(params.w[u:].T, xs.transpose(1, 2, 0))
-        pre += params.b[:, None]
-    elif keep_cache:
-        np.matmul(params.w[u:].T, xs.transpose(1, 2, 0), out=gates)
+        gates, cs = np.empty((t if shift is None else 1, 4 * u, b)), np.empty((2, u, b))
+        hs = np.empty((t + 1 if return_sequences and project is None else 2, u, b))
+    if shift is None:
+        np.matmul(params.w[u:].T, x.transpose(1, 2, 0), out=gates)
         gates += params.b[:, None]
+    else:
+        pre = params.w[u:].T @ rows.T
+        pre += params.b[:, None]
+    y = None if project is None else np.empty((t, b, project.weight.shape[0]))
     tc = np.empty((u, b))  # tanh(c) of the current step; the backward pass recomputes it
     hs[0] = 0.0
     cs[0] = 0.0
     nh, nc = len(hs), len(cs)
     for j in range(t):
         z = gates[j % len(gates)]
-        if repeated:
-            z[...] = pre[0]
-        elif not keep_cache:
-            np.matmul(params.w[u:].T, xs[:, j].T, out=z)
-            z += params.b[:, None]
-        lstm_cell_forward(
-            params, z, hs[j % nh], cs[j % nc], hs[(j + 1) % nh], cs[(j + 1) % nc], tc
-        )
+        if shift is not None:
+            z[...] = pre[:, j * shift : j * shift + b]
+        h = hs[(j + 1) % nh]
+        lstm_cell_forward(params, z, hs[j % nh], cs[j % nc], h, cs[(j + 1) % nc], tc)
+        if y is not None:  # the per-timestep product dense_forward takes on (b, t, u) states
+            np.matmul(h.T, project.weight.T, out=y[j])
+            y[j] += project.bias
     out = hs[1:].transpose(2, 0, 1) if return_sequences else hs[t % nh].T
-    cache = LayerCache(xs, hs, cs, gates, return_sequences) if keep_cache else None
+    if y is not None:
+        out = y.transpose(1, 0, 2)
+    cache = LayerCache(x[:, :1] if shift == 0 else x, hs, cs, gates, return_sequences) if keep_cache else None
     return out, cache
 
 

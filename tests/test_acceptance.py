@@ -95,7 +95,10 @@ def test_criterion_2_aggregation_oracle():
         m = int(rng.integers(1, 6))
         x = rng.uniform(size=(n, m))
         recon = rng.uniform(size=(n - t + 1, t, m))
-        fast = anomaly.per_sample_errors(x, recon)
+        sums = np.zeros((n, m))
+        anomaly.per_sample_errors(x, recon, 0, sums)  # the fast path adds; score_matrix divides
+        counts = [sum(k <= i < k + t for k in range(n - t + 1)) for i in range(n)]
+        fast = (sums / np.array(counts, dtype=float)[:, None]).mean(axis=1)
         slow = brute_force_scores(x, recon, t)
         worst = max(worst, float(np.max(np.abs(fast - slow))))
     wall = time.perf_counter() - tic

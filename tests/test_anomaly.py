@@ -48,11 +48,26 @@ def brute_force_scores(x, recon, t):
     return scores
 
 
+def scores_from_sums(sums, t):
+    """Per-sample scores from per_sample_errors' sums over a whole window batch:
+    each divided by the count of windows holding its sample, counted by a
+    double loop, then averaged over the features."""
+    n = len(sums)
+    counts = [sum(k <= i < k + t for k in range(n - t + 1)) for i in range(n)]
+    return (sums / np.array(counts, dtype=float)[:, None]).mean(axis=1)
+
+
+def whole_batch_scores(x, recon):
+    sums = np.zeros(x.shape)
+    per_sample_errors(x, recon, 0, sums)
+    return scores_from_sums(sums, recon.shape[1])
+
+
 class TestPerSampleErrors:
     def test_perfect_reconstruction_scores_zero(self):
         x = np.random.default_rng(0).uniform(size=(12, 3))
         windows = make_windows(x, WindowConfig(4))
-        assert np.allclose(per_sample_errors(x, windows.copy()), 0.0)
+        assert np.allclose(whole_batch_scores(x, windows.copy()), 0.0)
 
     def test_interior_sample_with_three_windows_two_features(self):
         # n=5, t=3, m=2: sample 2 sits in all three windows; its score is the
@@ -60,7 +75,7 @@ class TestPerSampleErrors:
         rng = np.random.default_rng(1)
         x = rng.uniform(size=(5, 2))
         recon = rng.uniform(size=(3, 3, 2))
-        scores = per_sample_errors(x, recon)
+        scores = whole_batch_scores(x, recon)
 
         per_feature = [
             np.mean([abs(recon[k][2 - k][j] - x[2][j]) for k in (0, 1, 2)])
@@ -75,25 +90,28 @@ class TestPerSampleErrors:
         rng = np.random.default_rng(2)
         x = rng.uniform(size=(20, 4))
         recon = rng.uniform(size=(16, 5, 4))
-        scores = per_sample_errors(x, recon)
+        scores = whole_batch_scores(x, recon)
         assert np.max(np.abs(scores - brute_force_scores(x, recon, 5))) < 1e-12
 
     def test_shape_mismatch(self):
         x = np.zeros((10, 2))
         windows = make_windows(x, WindowConfig(3))
+        sums = np.zeros((10, 2))
+        with pytest.raises(ShapeError):  # windows 2..8 of an 8-window matrix
+            per_sample_errors(x, np.zeros((7, 3, 2)), 2, sums)
+        with pytest.raises(ShapeError):  # sums of another matrix
+            per_sample_errors(np.zeros((11, 2)), windows, 0, sums)
         with pytest.raises(ShapeError):
-            per_sample_errors(x, np.zeros((7, 3, 2)))
+            per_sample_errors(x, windows[:, :, :1], 0, sums)
         with pytest.raises(ShapeError):
-            per_sample_errors(np.zeros((11, 2)), windows)
+            per_sample_errors(x, windows[0], 0, sums)
         with pytest.raises(ShapeError):
-            per_sample_errors(x, windows[:, :, :1])
-        with pytest.raises(ShapeError):
-            per_sample_errors(x, windows[0])
+            per_sample_errors(x, windows, -1, sums)
 
     def test_scores_are_finite_and_non_negative(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(30, 3))
-        scores = per_sample_errors(x, rng.normal(size=(24, 7, 3)))
+        scores = whole_batch_scores(x, rng.normal(size=(24, 7, 3)))
         assert np.all(scores >= 0)
         assert np.all(np.isfinite(scores))
 
@@ -264,9 +282,9 @@ class TestChunkedScoring:
         x = rng.uniform(size=(23, 3))
         recon = rng.uniform(size=(19, 5, 3))
         sums = np.zeros((23, 3))
-        parts = [per_sample_errors(x, recon[lo:hi], lo, sums) for lo, hi in ((0, 4), (4, 15), (15, 19))]
-        assert parts[0] is None and parts[1] is None
-        assert np.max(np.abs(parts[2] - brute_force_scores(x, recon, 5))) < 1e-12
+        for lo, hi in ((0, 4), (4, 15), (15, 19)):
+            per_sample_errors(x, recon[lo:hi], lo, sums)
+        assert np.max(np.abs(scores_from_sums(sums, 5) - brute_force_scores(x, recon, 5))) < 1e-12
         with pytest.raises(ShapeError):
             per_sample_errors(x, recon[:4], 16, np.zeros((23, 3)))
 
@@ -285,6 +303,23 @@ class TestChunkedScoring:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    def test_peak_memory_grows_with_the_window_length_by_the_reconstruction_only(self):
+        # the decoder's states go straight through the projection, so from
+        # t=25 to t=100 only the (t, SCORE_CHUNK, m) reconstruction grows
+        m = 5
+        x = np.random.default_rng(15).uniform(size=(2000, m))
+        peaks = []
+        for t in (25, 100):
+            weights = autoencoder.build(autoencoder.ModelConfig(timesteps=t, features=m, units=16))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                score_matrix(x, weights, WindowConfig(t))
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 1.2 * 75 * m * 8 * anomaly.SCORE_CHUNK, peaks
 
 
 JUNK_ROW = st.sampled_from([[], ["1"], ["inf", "0.5", "BENIGN"], ["0.5", "nan", "x"], ["a", "1", "y"]])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from flowsentry.autoencoder import (
     ModelConfig,
     ModelWeights,
+    _forward,
     build,
     forward,
     load,
@@ -160,6 +161,19 @@ class TestForward:
 
         out = forward(w, x, mode="infer")
         assert np.allclose(out[0], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("t,m,u", [(10, 5, 16), (2, 1, 32), (7, 3, 5)])
+    def test_scoring_path_equals_the_training_reconstruction_bit_for_bit(self, t, m, u):
+        # scoring projects a window view's distinct rows once and sends the
+        # decoder's states straight through the projection; training projects
+        # every step of its gathered batch copy, keeps every state and
+        # projects them afterwards
+        w = build(ModelConfig(timesteps=t, features=m, units=u, dropout=0.0, seed=4))
+        rng = np.random.default_rng(5)
+        windows = make_windows(rng.uniform(size=(80, m)), WindowConfig(t))
+        for x in (windows[3:40], windows[rng.permutation(len(windows))[:37]], windows[6:7]):
+            trained, _ = _forward(w, np.array(x), "train", None, keep_cache=True)
+            assert forward(w, x, mode="infer").tobytes() == np.ascontiguousarray(trained).tobytes()
 
     def test_infer_mode_is_rng_independent(self):
         w = build(ModelConfig(seed=3))
