@@ -195,13 +195,19 @@ def loss_and_gradients(
     recon, (enc_cache, enc_mask, dec_cache, dec_mask, dec_out) = _forward(
         weights, x, mode, rng, keep_cache=True
     )
-    loss = float(np.mean(np.abs(recon - x)))
+    # each array is released or written over once used, to keep the step's peak memory low
+    d_recon = recon - x  # a new array: the mean adds in its layout; in recon's the loss's last bit moves
+    del recon
+    loss = float(np.mean(np.abs(d_recon)))
 
     grad = np.empty_like(weights.theta) if out is None else out
     d_enc, d_dec, d_proj = _split(grad, weights.config)
-    d_recon = np.sign(recon - x) / recon.size
-    del recon  # each array is released once used, to keep the step's peak memory low
-    _, d_decoded = dense_backward(weights.projection, dec_out, d_recon, out=d_proj)
+    np.sign(d_recon, out=d_recon)
+    d_recon /= d_recon.size
+    # the dropout product is this step's own array; without dropout dec_out is the cache's states
+    _, d_decoded = dense_backward(
+        weights.projection, dec_out, d_recon, out=d_proj, overwrite_x=dec_mask is not None
+    )
     del d_recon, dec_out
     if dec_mask is not None:
         d_decoded *= dec_mask

@@ -415,6 +415,9 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace, cfg: dict) -> int:
+    for flag in ("step", "tolerance", "windows", "samples"):
+        if not getattr(args, flag) > 0:  # written so that a NaN fails too
+            raise ParameterError(f"--{flag} must be > 0, got {getattr(args, flag)}")
     config = autoencoder.ModelConfig(
         timesteps=cfg["window"], features=len(cfg["features"]), units=cfg["units"], seed=cfg["seed"]
     )
@@ -532,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = add_parser("gradcheck", help="finite-difference check of the gradients")
-    p.add_argument("--samples", type=int, default=256, help="parameters to sample (>= 200)")
+    p.add_argument("--samples", type=int, default=256, help="parameters to sample (>= 1)")
     p.add_argument("--tolerance", type=float, default=1e-5)
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--windows", type=int, default=4, help="random windows in the check batch")

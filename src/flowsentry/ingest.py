@@ -231,9 +231,10 @@ def apply_scaler(matrix: np.ndarray, scaler: Scaler) -> np.ndarray:
             f"matrix has shape {x.shape}, scaler expects {scaler.m} feature column(s)"
         )
     span = scaler.max - scaler.min
+    nz = span > 0  # zero-span columns are never divided; they keep the 0 they start at
     out = np.zeros_like(x)
-    nz = span > 0
-    out[:, nz] = (x[:, nz] - scaler.min[nz]) / span[nz]
+    np.subtract(x, scaler.min, out=out, where=nz)
+    np.divide(out, span, out=out, where=nz)
     np.clip(out, 0.0, 1.0, out=out)
     return out
 

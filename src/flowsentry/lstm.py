@@ -83,12 +83,12 @@ class LstmParams:
 
 
 class LayerCache(NamedTuple):
-    """One layer's forward activations, laid out (time, feature, batch) for the backward pass."""
+    """One layer's forward activations, laid out (time, feature, batch); one backward pass consumes it."""
 
     x: np.ndarray  # (b, t, d) input, or (b, 1, d) when every step saw the same input
     hs: np.ndarray  # (t+1, u, b) hidden states, hs[0] = 0
     cs: np.ndarray  # (t+1, u, b) cell states, cs[0] = 0
-    gates: np.ndarray  # (t, 4u, b) activations [f, i, o, g]
+    gates: np.ndarray  # (t, 4u, b) activations [f, i, o, g]; read-only gradients once consumed
     return_sequences: bool
 
 
@@ -198,10 +198,14 @@ def lstm_layer_backward(
     d_out matches the forward output: (b, t, units) when the forward
     returned sequences, else (b, units) applied at the final step.
     Returns (parameter gradients, input-sequence gradients (b, t, input_dim));
-    the parameter gradients overwrite `out` when it is given.
+    the parameter gradients overwrite `out` when it is given. The cache is
+    consumed: each step's gate gradients are written over its activations in
+    `cache.gates`, and a second backward pass on the same cache raises.
     """
     if cache is None:
         raise ShapeError("no cache; run a forward pass with keep_cache=True first")
+    if not cache.gates.flags.writeable:
+        raise ShapeError("cache already consumed by a backward pass; run the forward pass again")
     t, _, b = cache.gates.shape
     u, d = params.units, params.input_dim
     d_up = np.asarray(d_out, dtype=float)
@@ -211,9 +215,9 @@ def lstm_layer_backward(
             f"upstream gradient has shape {d_up.shape}, cache expects {expected}"
         )
 
-    dz = np.empty((t, 4 * u, b))  # gate pre-activation gradients, [f, i, o, g]
+    dz = cache.gates  # step j's gate gradients [f, i, o, g] overwrite its activations
     w_h = params.w[:u]
-    dc = np.zeros((u, b))
+    dc, dc_next = np.zeros((u, b)), np.empty((u, b))
     if cache.return_sequences:
         d_seq = d_up.transpose(1, 2, 0)
         dh = np.zeros((u, b))
@@ -223,36 +227,40 @@ def lstm_layer_backward(
     for j in reversed(range(t)):
         if cache.return_sequences:
             dh += d_seq[j]
-        a, dzj = cache.gates[j], dz[j]
-        i, o, g = a[u : 2 * u], a[2 * u : 3 * u], a[3 * u :]
+        a = dz[j]
+        f, i, o, g = a[:u], a[u : 2 * u], a[2 * u : 3 * u], a[3 * u :]
         np.tanh(cache.cs[j + 1], out=tc)
         # dc = dc_next + dh * o * (1 - tanh(c)^2), where o * tanh(c) = h
         np.multiply(cache.hs[j + 1], tc, out=tmp)
         np.subtract(o, tmp, out=tmp)
         tmp *= dh
         dc += tmp
-        # d_f = dc*c_prev*f', d_i = dc*g*i', d_o = dh*tanh(c)*o' with s' = s(1-s)
-        np.multiply(dc, cache.cs[j], out=dzj[:u])
-        np.multiply(dc, g, out=dzj[u : 2 * u])
-        np.multiply(dh, tc, out=dzj[2 * u : 3 * u])
+        # s' = s(1-s) and (1 - g^2)*i, read before the slots are overwritten
         np.subtract(1.0, a[: 3 * u], out=ds)
         ds *= a[: 3 * u]
-        dzj[: 3 * u] *= ds
-        # d_g = dc*i*(1 - g^2)
-        dg = dzj[3 * u :]
-        np.multiply(g, g, out=dg)
-        np.subtract(1.0, dg, out=dg)
-        dg *= i
-        dg *= dc
-        np.matmul(w_h, dzj, out=dh)
-        dc *= a[:u]
+        np.multiply(g, g, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        tmp *= i
+        np.multiply(dc, f, out=dc_next)
+        # d_f = dc*c_prev*f', d_i = dc*g*i', d_o = dh*tanh(c)*o', d_g = (1 - g^2)*i*dc
+        np.multiply(dc, cache.cs[j], out=f)
+        np.multiply(dc, g, out=i)
+        np.multiply(dh, tc, out=o)
+        a[: 3 * u] *= ds
+        np.multiply(tmp, dc, out=g)
+        np.matmul(w_h, a, out=dh)
+        dc, dc_next = dc_next, dc
+    dz.flags.writeable = False  # consumed: it holds gradients now, not activations
 
-    # the weight-gradient GEMMs, once over all timesteps
+    # the weight-gradient GEMMs, summed over time in ascending order as np.sum(axis=0) adds
     grads = out if out is not None else LstmParams.zeros(u, d)
     dz_b = dz.transpose(0, 2, 1)  # (t, b, 4u)
-    np.sum(np.matmul(cache.hs[:t], dz_b), axis=0, out=grads.w[:u])
     dz_x = dz_b if cache.x.shape[1] == t else dz_b.sum(axis=0, keepdims=True)
-    np.sum(np.matmul(cache.x.transpose(1, 2, 0), dz_x), axis=0, out=grads.w[u:])
+    for a, dz_a, w_a in ((cache.hs, dz_b, grads.w[:u]), (cache.x.transpose(1, 2, 0), dz_x, grads.w[u:])):
+        np.matmul(a[0], dz_a[0], out=w_a)
+        part = np.empty_like(w_a)
+        for j in range(1, len(dz_a)):
+            w_a += np.matmul(a[j], dz_a[j], out=part)
     np.sum(dz, axis=(0, 2), out=grads.b)
     d_x = np.matmul(dz_b, params.w[u:].T).transpose(1, 0, 2)
     return grads, d_x
@@ -297,10 +305,12 @@ def dense_forward(params: DenseParams, x: np.ndarray) -> np.ndarray:
 
 
 def dense_backward(
-    params: DenseParams, x: np.ndarray, d_out: np.ndarray, out: DenseParams | None = None
+    params: DenseParams, x: np.ndarray, d_out: np.ndarray, out: DenseParams | None = None,
+    *, overwrite_x: bool = False,
 ) -> tuple[DenseParams, np.ndarray]:
     """Gradients of the affine map; d_out must match the forward output shape.
-    The parameter gradients overwrite `out` when it is given."""
+    The parameter gradients overwrite `out` when it is given; with overwrite_x
+    the input gradient is written over a C-contiguous `x` once it is read."""
     x = np.asarray(x, dtype=float)
     d_out = np.asarray(d_out, dtype=float)
     out_dim, in_dim = params.weight.shape
@@ -312,7 +322,8 @@ def dense_backward(
     flat_d = d_out.reshape(-1, out_dim)
     np.matmul(flat_d.T, x.reshape(-1, in_dim), out=grads.weight)
     np.sum(flat_d, axis=0, out=grads.bias)
-    d_x = (flat_d @ params.weight).reshape(x.shape)
+    d_x = x if overwrite_x and x.flags.c_contiguous else np.empty(x.shape)
+    np.matmul(flat_d, params.weight, out=d_x.reshape(-1, in_dim))
     return grads, d_x
 
 
@@ -384,7 +395,8 @@ def grad_check(
     array `params`, which is perturbed in place, and return a gradient of
     the same shape. Relative error uses max(|analytic|, |numeric|, floor)
     as denominator; the floor keeps float64 round-off in the difference
-    quotient from dominating entries whose true gradient is near zero.
+    quotient from dominating entries whose true gradient is near zero. A
+    non-finite analytic or numeric value counts as an infinite error.
     """
     rng = rng or np.random.default_rng(0)
     # copied: the closure may write every call's gradient into one buffer
@@ -402,7 +414,9 @@ def grad_check(
         params.flat[i] = orig
         numeric = (loss_plus - loss_minus) / (2.0 * step)
         analytic = grads.flat[i]
-        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
+        # a non-finite loss or gradient fails: a NaN error would compare False below
+        finite = np.isfinite((analytic, numeric)).all()
+        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor) if finite else np.inf
         if rel > worst:
             worst, worst_index = rel, int(i)
     return GradCheckReport(worst, worst_index, k, tolerance)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -398,3 +399,27 @@ class TestEndToEndGradients:
         assert grad is buf
         assert loss == fresh_loss
         assert np.array_equal(buf, fresh)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_step_peak_grows_with_the_window_length_by_the_caches_and_three_state_arrays(
+        self, dropout
+    ):
+        # the backward pass writes its gradients over the activations it has read,
+        # so only the two layers' caches and a few (b, t, u) arrays grow with t
+        b, u, m, peaks = 64, 16, 5, []
+        for t in (25, 100):
+            cfg = ModelConfig(timesteps=t, features=m, units=u, dropout=dropout, seed=1)
+            w = build(cfg)
+            x = np.random.default_rng(2).uniform(size=(b, t, m))
+            grad = np.empty_like(w.theta)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                loss_and_gradients(w, x, "train", np.random.default_rng(3), out=grad)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        steps = 100 - 25
+        caches = 2 * 6 * steps * u * b * 8  # each cache holds 6 (u, b) arrays a step
+        states, recons = steps * b * u * 8, steps * b * m * 8  # a (b, t, u) and a (b, t, m) array
+        assert peaks[1] - peaks[0] <= caches + 3 * states + 2 * recons, peaks

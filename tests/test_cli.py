@@ -251,6 +251,22 @@ class TestGradcheck:
         assert run("gradcheck", "--seed", 1, "--tolerance", "1e-12") == 4
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--step", "0"), ("--step", "-1e-5"), ("--windows", "-1"), ("--windows", "0"),
+        ("--samples", "0"), ("--tolerance", "0"), ("--tolerance", "nan"),
+    ])
+    def test_out_of_range_value_is_a_validation_error(self, capsys, flag, value):
+        assert run("gradcheck", "--seed", 1, f"{flag}={value}") == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag} must be > 0"), err
+        assert "OK" not in captured.out
+
+    def test_samples_help_states_the_checked_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            run("gradcheck", "--help")
+        assert "(>= 1)" in capsys.readouterr().out
+
 
 class TestSweep:
     def test_three_windows_three_rows(self, tmp_path):

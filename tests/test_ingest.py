@@ -264,6 +264,28 @@ class TestScaler:
         out = apply_scaler(np.array([[5.0], [7.0]]), s)
         assert out.tolist() == [[0.0], [0.0]]
 
+    def test_zero_span_columns_map_to_zero_without_dividing(self):
+        # RuntimeWarning is an error under this suite's settings
+        s = fit_scaler(np.array([[5.0, 0.0, -1.0], [5.0, 4.0, -1.0]]))
+        out = apply_scaler(np.array([[5.0, 1.0, -1.0], [9.0, 3.0, 7.0], [-3.0, 8.0, -9.0]]), s)
+        assert out.tolist() == [[0.0, 0.25, 0.0], [0.0, 0.75, 0.0], [0.0, 1.0, 0.0]]
+
+    def test_apply_peaks_at_one_output_matrix(self):
+        # the scaled matrix is written in place: no (n, m) temporaries beside it
+        rng = np.random.default_rng(4)
+        raw = rng.uniform(-50, 50, size=(8000, 5))
+        raw[:, 2] = 3.0
+        s = fit_scaler(raw)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = apply_scaler(raw, s)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, np.clip((raw - s.min) / np.where(s.max > s.min, s.max - s.min, np.inf), 0, 1))
+        assert peak <= 1.5 * raw.nbytes, peak
+
     def test_out_of_range_values_clamped(self):
         s = fit_scaler(np.array([[0.0], [10.0]]))
         out = apply_scaler(np.array([[-5.0], [15.0]]), s)

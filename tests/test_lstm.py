@@ -316,15 +316,43 @@ class TestLayerBackward:
         rng = np.random.default_rng(19)
         batch = rng.normal(size=(4, 5, 2))
         upstream = rng.normal(size=(4, 3))
+        # a backward pass consumes its cache, so each pass gets its own identical one
         _, cache = lstm_layer_forward(p, batch, False)
+        _, twin = lstm_layer_forward(p, batch, False)
         fresh, _ = lstm_layer_backward(p, cache, upstream)
         out = LstmParams(np.full_like(p.w, 7.0), np.full_like(p.b, 7.0))
-        grads, _ = lstm_layer_backward(p, cache, upstream, out=out)
+        grads, _ = lstm_layer_backward(p, twin, upstream, out=out)
         assert grads is out
         assert np.array_equal(out.w, fresh.w) and np.array_equal(out.b, fresh.b)
 
+    @pytest.mark.parametrize("return_sequences", [True, False])
+    def test_a_consumed_cache_raises_instead_of_returning_gradients(self, return_sequences):
+        p = random_cell(3, 2, seed=23)
+        seq = np.random.default_rng(24).normal(size=(4, 5, 2))
+        out, cache = lstm_layer_forward(p, seq, return_sequences)
+        upstream = np.random.default_rng(25).normal(size=out.shape)
+        lstm_layer_backward(p, cache, upstream)
+        with pytest.raises(ShapeError, match="consumed"):
+            lstm_layer_backward(p, cache, upstream)
+
 
 class TestDense:
+    def test_overwrite_x_writes_the_input_gradient_over_a_contiguous_input(self):
+        rng = np.random.default_rng(8)
+        p = DenseParams(rng.normal(size=(2, 3)), rng.normal(size=2))
+        x = rng.normal(size=(4, 5, 3))
+        upstream = rng.normal(size=(4, 5, 2))
+        fresh, d_fresh = dense_backward(p, x.copy(), upstream)
+        grads, d_x = dense_backward(p, x, upstream, overwrite_x=True)
+        assert d_x is x
+        assert np.array_equal(d_x, d_fresh)
+        assert np.array_equal(grads.weight, fresh.weight) and np.array_equal(grads.bias, fresh.bias)
+        # a view that reshaping would copy is left as it is
+        view = rng.normal(size=(5, 4, 3)).transpose(1, 0, 2)
+        before = view.copy()
+        _, d_view = dense_backward(p, view, upstream, overwrite_x=True)
+        assert np.array_equal(view, before) and not np.shares_memory(d_view, view)
+
     def test_identity_weight(self):
         p = DenseParams(np.eye(3), np.zeros(3))
         x = np.random.default_rng(1).normal(size=(4, 3))
@@ -439,6 +467,39 @@ class TestAdam:
 
 
 class TestGradCheck:
+    @staticmethod
+    def quadratic(params, loss=None, grad=None):
+        """Closure for loss = sum(params^2), with the loss or gradient replaced when given."""
+
+        def closure():
+            value = float(params @ params) if loss is None else loss(params)
+            return value, 2.0 * params if grad is None else grad
+
+        return closure
+
+    def test_non_finite_loss_fails(self):
+        params = np.array([1.0, -2.0, 0.5])
+        report = grad_check(self.quadratic(params, loss=lambda p: math.nan), params, samples=3)
+        assert not report.passed
+        assert report.max_rel_error == math.inf and report.worst_index >= 0
+
+    def test_non_finite_analytic_gradient_fails(self):
+        params = np.array([1.0, -2.0, 0.5])
+        report = grad_check(self.quadratic(params, grad=np.full(3, np.nan)), params, samples=3)
+        assert not report.passed
+        assert report.max_rel_error == math.inf and report.worst_index >= 0
+
+    def test_non_finite_numeric_gradient_fails(self):
+        # finite at params, infinite a step above one entry: only that entry's quotient is
+        params = np.array([1.0, -2.0, 0.5])
+
+        def loss(p):
+            return math.inf if p[1] > -2.0 else float(p @ p)
+
+        report = grad_check(self.quadratic(params, loss=loss), params, samples=3)
+        assert not report.passed
+        assert report.max_rel_error == math.inf and report.worst_index == 1
+
     def test_linear_model_is_near_exact(self):
         rng = np.random.default_rng(0)
         w = rng.normal(size=(4, 3))
