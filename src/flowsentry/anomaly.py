@@ -21,6 +21,7 @@ from .autoencoder import ModelWeights
 from .errors import (
     DataError,
     ModelFormatError,
+    NumericError,
     ParameterError,
     ShapeError,
 )
@@ -49,8 +50,8 @@ class ThresholdModel:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.threshold < 0:
-            raise ParameterError(f"threshold must be >= 0, got {self.threshold}")
+        if not 0 <= self.threshold < np.inf:  # a NaN fails too
+            raise ParameterError(f"threshold must be a finite number >= 0, got {self.threshold}")
 
 
 def per_sample_errors(x: np.ndarray, recon: np.ndarray, start: int, sums: np.ndarray) -> None:
@@ -76,12 +77,14 @@ def calibrate(training_scores: np.ndarray) -> float:
     scores = np.asarray(training_scores, dtype=float)
     if scores.size == 0:
         raise DataError("cannot calibrate a threshold from an empty score series")
-    return float(scores.max())
+    if not np.isfinite(threshold := float(scores.max())):
+        raise NumericError(f"the maximum training score is {threshold}, not a finite number")
+    return threshold
 
 
 def classify(scores: np.ndarray, threshold: float) -> np.ndarray:
     """1 where score is strictly above the threshold, else 0. Ties are normal."""
-    if threshold < 0:
+    if not threshold >= 0:  # a NaN fails too
         raise ParameterError(f"threshold must be >= 0, got {threshold}")
     return (np.asarray(scores, dtype=float) > threshold).astype(int)
 
@@ -185,5 +188,5 @@ def load_threshold(path: str | Path) -> ThresholdModel:
             model_sha256=str(doc["model_sha256"]),
             provenance=dict(doc.get("provenance", {})),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ParameterError) as exc:
         raise ModelFormatError(f"{path}: malformed threshold file ({exc})") from exc

@@ -31,6 +31,7 @@ from .lstm import (
     cache_size,
     dense_backward,
     dense_forward,
+    dropout,
     dropout_mask,
     lstm_layer_backward,
     lstm_layer_forward,
@@ -60,8 +61,8 @@ class ModelConfig:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
         if not 0 <= self.dropout < 1:
             raise ParameterError(f"dropout must be in [0,1), got {self.dropout}")
-        if self.learning_rate <= 0:
-            raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:  # a NaN fails too
+            raise ParameterError(f"learning_rate (--lr) must be finite and > 0, got {self.learning_rate}")
 
 
 # Gate blocks of the stacked weights, named as model.json names them per gate.
@@ -87,7 +88,7 @@ def _split(flat: np.ndarray, cfg: ModelConfig) -> tuple[LstmParams, LstmParams, 
 
 @dataclass
 class ModelWeights:
-    """Every trainable array is a view into the one contiguous vector `theta`."""
+    """Every trainable array is a view into the one contiguous, finite vector `theta`."""
 
     theta: np.ndarray
     config: ModelConfig
@@ -98,6 +99,8 @@ class ModelWeights:
     def __post_init__(self):
         self.theta = np.ascontiguousarray(self.theta, dtype=float)
         self.encoder, self.decoder, self.projection = _split(self.theta, self.config)
+        if not (finite := np.isfinite(self.theta)).all():
+            raise ParameterError(f"non-finite model parameter {self.locate(int(np.argmin(finite)))}")
 
     @classmethod
     def from_parts(
@@ -155,7 +158,7 @@ def _forward(weights: ModelWeights, x: np.ndarray, mode: str, rng, keep_cache: b
         weights.encoder, x, False, keep_cache=keep_cache, store=store[:size]
     )
     enc_mask = dropout_mask(encoded.shape, cfg.dropout, rng) if training else None
-    bottleneck = encoded * enc_mask if enc_mask is not None else encoded
+    bottleneck = dropout(encoded, enc_mask, cfg.dropout)
     # a stride-0 view: the decoder projects the bottleneck once, not t times
     repeated = np.broadcast_to(bottleneck[:, None, :], (x.shape[0], cfg.timesteps, cfg.units))
     # scoring projects each decoder state as it is made; not one window, whose states
@@ -166,8 +169,9 @@ def _forward(weights: ModelWeights, x: np.ndarray, mode: str, rng, keep_cache: b
         project=weights.projection if fused else None,
     )
     dec_mask = dropout_mask(decoded.shape, cfg.dropout, rng) if training else None
-    dec_out = decoded * dec_mask if dec_mask is not None else decoded
-    recon = decoded if fused else dense_forward(weights.projection, dec_out)
+    dec_out = dropout(decoded, dec_mask, cfg.dropout)
+    del decoded  # with dropout, the decoder's (t+1, u, b) state array is freed here
+    recon = dec_out if fused else dense_forward(weights.projection, dec_out)
     return recon, (enc_cache, enc_mask, dec_cache, dec_mask, dec_out)
 
 
@@ -209,13 +213,11 @@ def loss_and_gradients(
         weights.projection, dec_out, d_recon, out=d_proj, overwrite_x=dec_mask is not None
     )
     del d_recon, dec_out
-    if dec_mask is not None:
-        d_decoded *= dec_mask
+    dropout(d_decoded, dec_mask, weights.config.dropout, out=d_decoded)
     del dec_mask
     _, d_repeated = lstm_layer_backward(weights.decoder, dec_cache, d_decoded, out=d_dec)
     del dec_cache, d_decoded
-    d_bottleneck = d_repeated.sum(axis=1)
-    d_encoded = d_bottleneck * enc_mask if enc_mask is not None else d_bottleneck
+    d_encoded = dropout(d_repeated.sum(axis=1), enc_mask, weights.config.dropout)
     lstm_layer_backward(weights.encoder, enc_cache, d_encoded, out=d_enc)
     return loss, grad
 
@@ -303,5 +305,5 @@ def load(path: str | Path) -> ModelWeights:
             ),
             config=config,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ParameterError) as exc:
         raise ModelFormatError(f"{path}: malformed model file ({exc})") from exc

@@ -259,15 +259,15 @@ def _load_model(path: str) -> tuple[autoencoder.ModelWeights, str]:
 def cmd_calibrate(args: argparse.Namespace, cfg: dict) -> int:
     weights, model_sha256 = _load_model(args.model)
     scaler = ingest.load_scaler(args.scaler)
-    # block by block: the maximum score (the threshold, as anomaly.calibrate
-    # sets it), the row count and the sha256 of the scaled matrix's bytes
-    threshold, samples, fingerprint = -np.inf, 0, hashlib.sha256()
+    # block by block: the maximum score (anomaly.calibrate takes the threshold
+    # from these), the row count and the sha256 of the scaled matrix's bytes
+    maxima, samples, fingerprint = [], 0, hashlib.sha256()
     for scaled, scores, _, _ in _stream_scores(args.input, scaler, cfg["label_col"], weights):
-        threshold = scores.max(initial=threshold)
+        maxima.append(scores.max(initial=-np.inf))
         samples += len(scaled)
         fingerprint.update(np.ascontiguousarray(scaled))
     tm = anomaly.ThresholdModel(
-        threshold=float(threshold),
+        threshold=anomaly.calibrate(np.array(maxima)),
         scaler=scaler,
         window=WindowConfig(timesteps=weights.config.timesteps),
         # relative to the threshold file, so the pair can move together

@@ -9,10 +9,10 @@ shape (units + input_dim, 4 * units) acting on the row vector [h_prev, x],
 and one bias ``b`` of shape (4 * units,). Column blocks are ordered
 [f, i, o, g], so the three sigmoid gates are contiguous. The input rows
 ``w[units:]`` project each distinct input row once, before the time loop;
-only the recurrent rows ``w[:units]`` are applied per step. Scoring keeps two
-state slots and projects each decoder state as it is made.
-Layer functions take a batch of sequences (b, t, d); gradients mirror the
-input shapes.
+only the recurrent rows ``w[:units]`` are applied per step. Training caches no
+hidden states (the backward pass rebuilds them); scoring keeps two state slots
+and projects each decoder state as it is made. Layer functions take a batch
+of sequences (b, t, d); gradients mirror the input shapes.
 """
 
 from __future__ import annotations
@@ -83,11 +83,10 @@ class LstmParams:
 
 
 class LayerCache(NamedTuple):
-    """One layer's forward activations, laid out (time, feature, batch); one backward pass consumes it."""
+    """One layer's gates and cell states, laid out (time, feature, batch); one backward pass consumes it."""
 
     x: np.ndarray  # (b, t, d) input, or (b, 1, d) when every step saw the same input
-    hs: np.ndarray  # (t+1, u, b) hidden states, hs[0] = 0
-    cs: np.ndarray  # (t+1, u, b) cell states, cs[0] = 0
+    cs: np.ndarray  # (t+1, u, b) cell states, cs[0] = 0; hidden states, h_j in cs[j+1], once consumed
     gates: np.ndarray  # (t, 4u, b) activations [f, i, o, g]; read-only gradients once consumed
     return_sequences: bool
 
@@ -119,8 +118,8 @@ def lstm_cell_forward(
 
 
 def cache_size(b: int, t: int, units: int) -> int:
-    """Floats in the cache arrays of one layer's forward pass over a (b, t, .) batch."""
-    return (6 * t + 2) * units * b
+    """Floats in one layer's cache over a (b, t, .) batch: gates (t, 4u, b), cell states (t+1, u, b)."""
+    return (5 * t + 1) * units * b
 
 
 def lstm_layer_forward(
@@ -135,8 +134,8 @@ def lstm_layer_forward(
     else b * t. Returns all hidden states (b, t, units) when return_sequences,
     else the final one (b, units), plus the backward cache, laid out in
     `store` (cache_size floats) when given. A dense `project` takes each state
-    as it is made, and the output is then (b, t, out). keep_cache=False
-    returns no cache and keeps two state slots unless it must return them all.
+    as it is made, and the output is then (b, t, out). keep_cache=False returns
+    no cache. Hidden states take two slots, or a (t+1, u, b) array to return.
     """
     x = np.asarray(seq, dtype=float)
     if x.ndim != 3:
@@ -159,10 +158,10 @@ def lstm_layer_forward(
     if keep_cache:
         store = np.empty(cache_size(b, t, u)) if store is None else store
         gates = store[: 4 * t * u * b].reshape(t, 4 * u, b)
-        hs, cs = store[4 * t * u * b : cache_size(b, t, u)].reshape(2, t + 1, u, b)
+        cs = store[4 * t * u * b : cache_size(b, t, u)].reshape(t + 1, u, b)
     else:
         gates, cs = np.empty((t if shift is None else 1, 4 * u, b)), np.empty((2, u, b))
-        hs = np.empty((t + 1 if return_sequences and project is None else 2, u, b))
+    hs = np.empty((t + 1 if return_sequences and project is None else 2, u, b))
     if shift is None:
         np.matmul(params.w[u:].T, x.transpose(1, 2, 0), out=gates)
         gates += params.b[:, None]
@@ -171,8 +170,7 @@ def lstm_layer_forward(
         pre += params.b[:, None]
     y = None if project is None else np.empty((t, b, project.weight.shape[0]))
     tc = np.empty((u, b))  # tanh(c) of the current step; the backward pass recomputes it
-    hs[0] = 0.0
-    cs[0] = 0.0
+    hs[0] = cs[0] = 0.0
     nh, nc = len(hs), len(cs)
     for j in range(t):
         z = gates[j % len(gates)]
@@ -186,7 +184,7 @@ def lstm_layer_forward(
     out = hs[1:].transpose(2, 0, 1) if return_sequences else hs[t % nh].T
     if y is not None:
         out = y.transpose(1, 0, 2)
-    cache = LayerCache(x[:, :1] if shift == 0 else x, hs, cs, gates, return_sequences) if keep_cache else None
+    cache = LayerCache(x[:, :1] if shift == 0 else x, cs, gates, return_sequences) if keep_cache else None
     return out, cache
 
 
@@ -199,8 +197,8 @@ def lstm_layer_backward(
     returned sequences, else (b, units) applied at the final step.
     Returns (parameter gradients, input-sequence gradients (b, t, input_dim));
     the parameter gradients overwrite `out` when it is given. The cache is
-    consumed: each step's gate gradients are written over its activations in
-    `cache.gates`, and a second backward pass on the same cache raises.
+    consumed: step j's gate gradients overwrite its activations, h_j its cell
+    state c_j, and a second backward pass on the same cache raises.
     """
     if cache is None:
         raise ShapeError("no cache; run a forward pass with keep_cache=True first")
@@ -230,8 +228,9 @@ def lstm_layer_backward(
         a = dz[j]
         f, i, o, g = a[:u], a[u : 2 * u], a[2 * u : 3 * u], a[3 * u :]
         np.tanh(cache.cs[j + 1], out=tc)
+        h = np.multiply(o, tc, out=cache.cs[j + 1])  # the forward's own product, over c's last read
         # dc = dc_next + dh * o * (1 - tanh(c)^2), where o * tanh(c) = h
-        np.multiply(cache.hs[j + 1], tc, out=tmp)
+        np.multiply(h, tc, out=tmp)
         np.subtract(o, tmp, out=tmp)
         tmp *= dh
         dc += tmp
@@ -252,11 +251,11 @@ def lstm_layer_backward(
         dc, dc_next = dc_next, dc
     dz.flags.writeable = False  # consumed: it holds gradients now, not activations
 
-    # the weight-gradient GEMMs, summed over time in ascending order as np.sum(axis=0) adds
+    # the weight-gradient GEMMs (cs[j] holds step j's h_prev now), added in time order as np.sum does
     grads = out if out is not None else LstmParams.zeros(u, d)
     dz_b = dz.transpose(0, 2, 1)  # (t, b, 4u)
     dz_x = dz_b if cache.x.shape[1] == t else dz_b.sum(axis=0, keepdims=True)
-    for a, dz_a, w_a in ((cache.hs, dz_b, grads.w[:u]), (cache.x.transpose(1, 2, 0), dz_x, grads.w[u:])):
+    for a, dz_a, w_a in ((cache.cs, dz_b, grads.w[:u]), (cache.x.transpose(1, 2, 0), dz_x, grads.w[u:])):
         np.matmul(a[0], dz_a[0], out=w_a)
         part = np.empty_like(w_a)
         for j in range(1, len(dz_a)):
@@ -328,12 +327,22 @@ def dense_backward(
 
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout mask, pre-scaled by 1/(1-rate)."""
+    """Inverted-dropout keep mask, rng.random(shape) >= rate, drawn 4096 doubles at a time."""
     if not 0 <= rate < 1:
         raise ParameterError(f"dropout rate must be in [0,1), got {rate}")
-    if rate == 0:
-        return np.ones(shape)
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    keep = np.empty(shape, dtype=bool)
+    flat = keep.reshape(-1)
+    for lo in range(0, flat.size, 4096):
+        np.greater_equal(rng.random(min(4096, flat.size - lo)), rate, out=flat[lo : lo + 4096])
+    return keep
+
+
+def dropout(x: np.ndarray, keep: np.ndarray | None, rate: float, out: np.ndarray | None = None) -> np.ndarray:
+    """x * keep / (1 - rate), into `out` if given; bit for bit x * (keep / (1 - rate)). No keep: x."""
+    if keep is None:
+        return x
+    y = np.multiply(x, keep, out=out)  # x * 1.0 is x, x * 0.0 keeps x's sign
+    return np.multiply(y, 1.0 / (1.0 - rate), out=y)
 
 
 @dataclass

@@ -47,10 +47,11 @@ class SynthConfig:
         self.amplitude = _per_feature(self.amplitude, self.features, "amplitude")
         self.period = _per_feature(self.period, self.features, "period")
         self.sigma = _per_feature(self.sigma, self.features, "sigma")
-        if np.any(self.period <= 0):
-            raise ParameterError("period must be positive")
-        if np.any(self.amplitude < 0) or np.any(self.sigma < 0):
-            raise ParameterError("amplitude and sigma must be non-negative")
+        for name, ok, rule in (("amplitude", self.amplitude >= 0, " and >= 0"),
+                               ("sigma", self.sigma >= 0, " and >= 0"),
+                               ("period", self.period > 0, " and > 0"), ("shift_sigmas", True, "")):
+            if not np.all(ok & np.isfinite(getattr(self, name))):
+                raise ParameterError(f"{name} must be finite{rule}, got {getattr(self, name)}")
 
 
 def _process(cfg: SynthConfig, start: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import tempfile
@@ -24,6 +25,8 @@ from flowsentry.errors import (
     DataError,
     InsufficientDataError,
     ModelFormatError,
+    NumericError,
+    ParameterError,
     ShapeError,
 )
 from flowsentry.ingest import FeatureSpec, Scaler, fit_scaler, write_csv
@@ -127,10 +130,20 @@ class TestCalibrate:
         with pytest.raises(DataError):
             calibrate(np.array([]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_maximum_is_a_numeric_error(self, bad):
+        with pytest.raises(NumericError):
+            calibrate(np.array([0.1, bad, 0.2]))
+
 
 class TestClassify:
     def test_tie_with_threshold_is_normal(self):
         assert classify(np.array([0.3]), 0.3).tolist() == [0]
+
+    @pytest.mark.parametrize("threshold", [np.nan, -1e-12])
+    def test_nan_or_negative_threshold_is_rejected(self, threshold):
+        with pytest.raises(ParameterError):
+            classify(np.array([0.3]), threshold)
 
     def test_zero_threshold_flags_any_positive_score(self):
         assert classify(np.array([0.0, 1e-12, 0.5]), 0.0).tolist() == [0, 1, 1]
@@ -402,6 +415,22 @@ class TestThresholdPersistence:
         save_threshold(self.tm(), b)
         assert a.read_bytes() == b.read_bytes()
         assert "2023-11-14" in json.loads(a.read_text())["provenance"]["created"]
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -1.0])
+    def test_threshold_model_refuses_a_threshold_that_is_not_finite_and_non_negative(self, threshold):
+        with pytest.raises(ParameterError):
+            dataclasses.replace(self.tm(), threshold=threshold)
+
+    @pytest.mark.parametrize("key, value", [("threshold", float("nan")), ("threshold", -1.0),
+                                            ("window", {"timesteps": 0})])
+    def test_an_out_of_range_value_in_the_file_is_a_format_error(self, tmp_path, key, value):
+        path = tmp_path / "th.json"
+        save_threshold(self.tm(), path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError):
+            load_threshold(path)
 
     def test_wrong_version(self, tmp_path):
         path = tmp_path / "th.json"

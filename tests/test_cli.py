@@ -534,6 +534,86 @@ class TestExitCodes:
         assert not (tmp_path / "r.json").exists()
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--sigma", "nan"), ("--shift", "nan"), ("--shift", "inf"), ("--amplitude", "nan"), ("--period", "nan"),
+    ])
+    def test_a_nan_or_infinite_synth_flag_is_a_validation_error(self, tmp_path, capsys, flag, value):
+        capsys.readouterr()
+        assert run("synth", "--benign", 20, "--attack", 5, "--out", tmp_path / "d", f"{flag}={value}") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag[2:]}"), err
+        assert not (tmp_path / "d" / "benign.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_a_nan_or_infinite_learning_rate_is_a_validation_error(self, tmp_path, capsys, value):
+        data = tmp_path / "data"
+        assert run("synth", "--benign", 40, "--attack", 5, "--out", data, *FAST) == 0
+        capsys.readouterr()
+        assert run("train", "--input", data / "benign.csv", "--window", 5, "--epochs", 1,
+                   "--scaler", write_scaler(tmp_path / "scaler.json"),
+                   "--lr", value, "--out", tmp_path / "m.json") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--lr" in err[0], err
+        assert not (tmp_path / "m.json").exists()
+
+
+def edit_json(src, dst, edit):
+    doc = json.loads(src.read_text())
+    edit(doc)
+    dst.write_text(json.dumps(doc))
+    return dst
+
+
+class TestOutOfRangeArtifacts:
+    """A threshold or model file with a value no stage could have written is a
+    format error (exit 3); a non-finite training score is a numeric one (exit 4)."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(threshold=float("nan")),
+        lambda d: d.update(threshold=-1.0),
+        lambda d: d["window"].update(timesteps=0),
+    ], ids=["nan-threshold", "negative-threshold", "zero-window"])
+    def test_detect_refuses_the_threshold_file(self, pipeline_dir, capsys, edit):
+        th = edit_json(pipeline_dir / "th.json", pipeline_dir / "th_edited.json", edit)
+        out = pipeline_dir / "edited_verdicts.csv"
+        capsys.readouterr()
+        assert run("detect", "--model", pipeline_dir / "model.json", "--thresholds", th,
+                   "--input", pipeline_dir / "prep" / "test.csv", "--out", out) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {th}: malformed threshold file"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["projection"]["bias"].__setitem__(0, float("nan")),
+         "malformed model file (non-finite model parameter projection.bias[0])"),
+        (lambda d: d["config"].update(units=0), "malformed model file (units must be >= 1, got 0)"),
+    ], ids=["nan-bias", "zero-units"])
+    def test_calibrate_refuses_the_model_file(self, pipeline_dir, capsys, edit, message):
+        model = edit_json(pipeline_dir / "model.json", pipeline_dir / "edited.json", edit)
+        out = pipeline_dir / "edited_th.json"
+        capsys.readouterr()
+        assert run("calibrate", "--model", model, "--scaler", pipeline_dir / "prep" / "scaler.json",
+                   "--input", pipeline_dir / "prep" / "train.csv", "--out", out) == 3
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {model}: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the case under test
+    def test_calibrate_refuses_an_infinite_maximum_score(self, pipeline_dir, capsys):
+        # finite parameters whose reconstruction overflows: every score is infinite
+        def huge(d):
+            d["projection"]["weight"] = [[1e308] * len(row) for row in d["projection"]["weight"]]
+            d["projection"]["bias"] = [1e308] * len(d["projection"]["bias"])
+
+        model = edit_json(pipeline_dir / "model.json", pipeline_dir / "huge.json", huge)
+        out = pipeline_dir / "huge_th.json"
+        capsys.readouterr()
+        assert run("calibrate", "--model", model, "--scaler", pipeline_dir / "prep" / "scaler.json",
+                   "--input", pipeline_dir / "prep" / "train.csv", "--out", out) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: the maximum training score is inf, not a finite number"], err
+        assert not out.exists()
+
+
 class TestStreamingStages:
     """calibrate and detect read, score and write their CSVs block by block."""
 

@@ -15,6 +15,7 @@ from flowsentry.lstm import (
     adam_step,
     dense_backward,
     dense_forward,
+    dropout,
     dropout_mask,
     grad_check,
     lstm_cell_forward,
@@ -335,6 +336,25 @@ class TestLayerBackward:
         with pytest.raises(ShapeError, match="consumed"):
             lstm_layer_backward(p, cache, upstream)
 
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_backward_rebuilds_the_hidden_states_over_the_cell_states(self, b):
+        # decoder-style: the returned states are the oracle for cs[1:] after the pass
+        p = random_cell(3, 2, seed=26)
+        rng = np.random.default_rng(27)
+        seq = rng.normal(size=(b, 6, 2))
+        out, cache = lstm_layer_forward(p, seq, True)
+        lstm_layer_backward(p, cache, rng.normal(size=out.shape))
+        assert cache.cs[1:].transpose(2, 0, 1).tobytes() == np.ascontiguousarray(out).tobytes()
+        assert not cache.cs[0].any()
+        with pytest.raises(ShapeError, match="consumed"):
+            lstm_layer_backward(p, cache, rng.normal(size=out.shape))
+        # encoder-style: only the final state is returned, and cs[t] holds it
+        final, cache = lstm_layer_forward(p, seq, False)
+        lstm_layer_backward(p, cache, rng.normal(size=final.shape))
+        assert cache.cs[6].T.tobytes() == np.ascontiguousarray(final).tobytes()
+        with pytest.raises(ShapeError, match="consumed"):
+            lstm_layer_backward(p, cache, rng.normal(size=final.shape))
+
 
 class TestDense:
     def test_overwrite_x_writes_the_input_gradient_over_a_contiguous_input(self):
@@ -409,11 +429,25 @@ class TestDropout:
     def test_train_mode_statistics(self):
         rng = np.random.default_rng(123)
         x = np.ones(100_000)
-        out = x * dropout_mask(x.shape, 0.2, rng)
+        out = dropout(x, dropout_mask(x.shape, 0.2, rng), 0.2)
         survivors = np.count_nonzero(out)
         assert abs(survivors / x.size - 0.8) < 0.01
         assert abs(out.mean() - 1.0) < 0.02  # inverted scaling preserves the mean
         assert np.allclose(out[out != 0], 1.0 / 0.8)
+
+    @pytest.mark.parametrize("rate", [0.1, 0.2, 0.3, 0.5, 0.9])
+    def test_boolean_mask_route_equals_the_scaled_float_mask_bit_for_bit(self, rate):
+        # more draws than one chunk, and not a multiple of it; negative x makes -0.0
+        shape = (3, 1500, 7)
+        x = np.random.default_rng(5).normal(size=shape)
+        keep = dropout_mask(shape, rate, np.random.default_rng(6))
+        whole = np.random.default_rng(6).random(shape) >= rate
+        assert keep.dtype == bool and np.array_equal(keep, whole)
+        expected = x * (whole / (1.0 - rate))
+        assert dropout(x, keep, rate).tobytes() == expected.tobytes()
+        in_place = x.copy()
+        assert dropout(in_place, keep, rate, out=in_place) is in_place
+        assert in_place.tobytes() == expected.tobytes()
 
     def test_invalid_rate_and_mode(self):
         with pytest.raises(ParameterError):

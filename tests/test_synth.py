@@ -24,6 +24,14 @@ class TestConfig:
         with pytest.raises(ParameterError):
             SynthConfig(sigma=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("sigma", np.nan), ("sigma", np.inf), ("amplitude", np.nan), ("amplitude", np.inf),
+        ("period", np.nan), ("shift_sigmas", np.nan), ("shift_sigmas", np.inf),
+    ])
+    def test_rejects_nan_and_infinite_values(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            SynthConfig(**{field: value})
+
     def test_zero_sigma_allowed_for_noise_free_fixtures(self):
         benign, attack = gen(SynthConfig(n_benign=50, n_attack=10, sigma=0.0, seed=1))
         assert np.all(np.isfinite(benign.matrix))
