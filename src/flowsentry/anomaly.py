@@ -3,7 +3,8 @@
 A sample's score is the mean absolute reconstruction error over every
 window that contains it and over all features; the detection threshold is
 the maximum per-sample score seen on benign training data, and a sample is
-flagged only when its score is strictly above that threshold.
+flagged only when its score is strictly above that threshold. Errors are
+added per decoder step, so a sample takes a chunk's windows latest first.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .windowing import WindowConfig, make_windows
 
 THRESHOLD_FILE_VERSION = 2
 
-SCORE_CHUNK = 256  # windows per forward pass in score_matrix: peak ~ (t*m + 22*u)*SCORE_CHUNK*8 bytes
+SCORE_CHUNK = 256  # windows per forward pass in score_matrix: peak ~ 23*u*SCORE_CHUNK*8 bytes, whatever t
 
 
 @dataclass
@@ -57,7 +58,8 @@ class ThresholdModel:
 def per_sample_errors(x: np.ndarray, recon: np.ndarray, start: int, sums: np.ndarray) -> None:
     """Add the errors of windows start..start+c-1 into the running (n, m) `sums`:
     sums[i][j] gathers |recon[k][i-k][j] - x[i][j]| over every window k that
-    holds sample i; score_matrix divides by their count and averages the features.
+    holds sample i, in ascending k; score_matrix divides by their count and averages
+    the features, and passes each decoder step j as windows of length 1 from start + j.
     """
     x = np.asarray(x, dtype=float)
     recon = np.asarray(recon, dtype=float)
@@ -135,9 +137,11 @@ def _score_block(
     if end > 0 or last and not carry.done:  # a stream of fewer than t rows raises here
         windows = make_windows(x, window)
         for start in range(0, end, SCORE_CHUNK):
-            # not bound to a name, so no chunk's reconstruction outlives its use
-            chunk = windows[start : start + SCORE_CHUNK]
-            per_sample_errors(x, autoencoder.forward(weights, chunk, mode="infer"), start, sums)
+            # no chunk's (t, c, m) reconstruction is held, only one step's (c, m)
+            def add_errors(j, y, start=start):
+                per_sample_errors(x, y[:, None], start + j, sums)
+
+            autoencoder.forward(weights, windows[start : start + SCORE_CHUNK], on_step=add_errors)
     k = len(x) if last else end  # the rows no later window holds
     # windows holding stream row i: at least t rows follow every row finished before the end
     i, n = np.arange(carry.done, carry.done + k), carry.done + len(x)
@@ -175,6 +179,8 @@ def load_threshold(path: str | Path) -> ThresholdModel:
         raise DataError(f"cannot read threshold file {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"{path}: malformed threshold file (not a JSON object)")
     if doc.get("version") != THRESHOLD_FILE_VERSION:
         raise ModelFormatError(
             f"{path}: unsupported threshold file version {doc.get('version')!r}"

@@ -14,6 +14,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -136,7 +137,7 @@ def build(config: ModelConfig) -> ModelWeights:
     return ModelWeights.from_parts(encoder, decoder, projection, config)
 
 
-def _forward(weights: ModelWeights, x: np.ndarray, mode: str, rng, keep_cache: bool):
+def _forward(weights: ModelWeights, x: np.ndarray, mode: str, rng, keep_cache: bool, on_step=None):
     cfg = weights.config
     if x.ndim != 3 or x.shape[1:] != (cfg.timesteps, cfg.features):
         raise ShapeError(
@@ -148,6 +149,8 @@ def _forward(weights: ModelWeights, x: np.ndarray, mode: str, rng, keep_cache: b
     training = mode == "train" and cfg.dropout > 0
     if training and rng is None:
         raise ParameterError("train-mode forward with dropout requires an rng")
+    if training and on_step is not None:
+        raise ParameterError("a per-step forward applies no dropout; use mode='infer'")
 
     # both layers' caches in one allocation: a block that large stays in the
     # allocator's heap from one training step to the next, where blocks of a
@@ -161,17 +164,22 @@ def _forward(weights: ModelWeights, x: np.ndarray, mode: str, rng, keep_cache: b
     bottleneck = dropout(encoded, enc_mask, cfg.dropout)
     # a stride-0 view: the decoder projects the bottleneck once, not t times
     repeated = np.broadcast_to(bottleneck[:, None, :], (x.shape[0], cfg.timesteps, cfg.units))
-    # scoring projects each decoder state as it is made; not one window, whose states
-    # dense_forward projects in one product that can differ in the last bits
-    fused = not (keep_cache or training) and x.shape[0] > 1
+    step = None
+    if on_step is not None:  # scoring: each decoder state is projected into one buffer as it is made
+        project, y = weights.projection, np.empty((x.shape[0], cfg.features))
+
+        def step(j, h):  # the per-timestep product dense_forward takes on (b, t, u) states
+            on_step(j, np.add(np.matmul(h.T, project.weight.T, out=y), project.bias, out=y))
+
     decoded, dec_cache = lstm_layer_forward(
-        weights.decoder, repeated, True, keep_cache=keep_cache, store=store[size:],
-        project=weights.projection if fused else None,
+        weights.decoder, repeated, True, keep_cache=keep_cache, store=store[size:], on_step=step
     )
+    if step is not None:
+        return None, None
     dec_mask = dropout_mask(decoded.shape, cfg.dropout, rng) if training else None
     dec_out = dropout(decoded, dec_mask, cfg.dropout)
     del decoded  # with dropout, the decoder's (t+1, u, b) state array is freed here
-    recon = dec_out if fused else dense_forward(weights.projection, dec_out)
+    recon = dense_forward(weights.projection, dec_out)
     return recon, (enc_cache, enc_mask, dec_cache, dec_mask, dec_out)
 
 
@@ -180,9 +188,11 @@ def forward(
     windows: np.ndarray,
     mode: str = "infer",
     rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Reconstruct every window; output shape equals input shape (w, t, m)."""
-    recon, _ = _forward(weights, np.asarray(windows, dtype=float), mode, rng, keep_cache=False)
+    on_step: Callable[[int, np.ndarray], None] | None = None,
+) -> np.ndarray | None:
+    """Reconstruct every window; output shape equals input shape (w, t, m). With `on_step`,
+    return None and hand step j's outputs (w, m) to on_step(j, y) in a buffer reused per step."""
+    recon, _ = _forward(weights, np.asarray(windows, dtype=float), mode, rng, False, on_step)
     return recon
 
 
@@ -292,6 +302,8 @@ def load(path: str | Path) -> ModelWeights:
         raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"{path}: malformed model file (not a JSON object)")
     if doc.get("version") != MODEL_FILE_VERSION:
         raise ModelFormatError(f"{path}: unsupported model file version {doc.get('version')!r}")
     try:

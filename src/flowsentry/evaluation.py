@@ -72,18 +72,7 @@ class MetricsReport:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "version": REPORT_FILE_VERSION,
-            "counts": asdict(self.counts),
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "fpr": self.fpr,
-            "f1": self.f1,
-            "auc": self.auc,
-            "degenerate": list(self.degenerate),
-            "metadata": self.metadata,
-        }
+        return {"version": REPORT_FILE_VERSION, **asdict(self), "degenerate": list(self.degenerate)}
 
 
 def _binary_vector(values, name: str) -> np.ndarray:
@@ -134,15 +123,7 @@ def metrics(c: ConfusionCounts) -> MetricsReport:
     precision = ratio(c.tp, c.tp + c.fp, "precision")
     f1 = ratio(2.0 * precision * recall, precision + recall, "f1")
     accuracy = (c.tp + c.tn) / c.total
-    return MetricsReport(
-        counts=c,
-        accuracy=accuracy,
-        precision=precision,
-        recall=recall,
-        fpr=fpr,
-        f1=f1,
-        degenerate=tuple(degenerate),
-    )
+    return MetricsReport(c, accuracy, precision, recall, fpr, f1, degenerate=tuple(degenerate))
 
 
 def _roc_counts(scores, labels, curve: str):
@@ -198,7 +179,7 @@ def _markdown_table(report: MetricsReport) -> str:
 def _csv_row(report: MetricsReport) -> dict[str, str]:
     meta = report.metadata
     config = meta.get("config", {})
-    row = {
+    return {
         "accuracy": repr(report.accuracy),
         "precision": repr(report.precision),
         "recall": repr(report.recall),
@@ -217,7 +198,6 @@ def _csv_row(report: MetricsReport) -> dict[str, str]:
         "epoch_time_mean": str(meta.get("epoch_time_mean", "")),
         "epoch_time_std": str(meta.get("epoch_time_std", "")),
     }
-    return row
 
 
 def render_report(report: MetricsReport, fmt: str = "json") -> str:

@@ -300,6 +300,9 @@ def scaler_from_doc(doc, path: str | Path) -> Scaler:
         raise ModelFormatError(f"{path}: malformed scaler ({exc!r})") from exc
     if not names:
         raise ModelFormatError(f"{path}: the scaler names no feature columns")
+    for bound in ("min", "max"):  # json reads NaN and Infinity; a NaN bound scales its feature to 0
+        if not (finite := np.isfinite(getattr(scaler, bound))).all():
+            raise ModelFormatError(f"{path}: scaler {bound}[{int(np.argmin(finite))}] is not a finite number")
     return scaler
 
 

@@ -11,7 +11,7 @@ and one bias ``b`` of shape (4 * units,). Column blocks are ordered
 ``w[units:]`` project each distinct input row once, before the time loop;
 only the recurrent rows ``w[:units]`` are applied per step. Training caches no
 hidden states (the backward pass rebuilds them); scoring keeps two state slots
-and projects each decoder state as it is made. Layer functions take a batch
+and hands each decoder state to a per-step callback as it is made. Layer functions take a batch
 of sequences (b, t, d); gradients mirror the input shapes.
 """
 
@@ -124,7 +124,8 @@ def cache_size(b: int, t: int, units: int) -> int:
 
 def lstm_layer_forward(
     params: LstmParams, seq: np.ndarray, return_sequences: bool = False, *,
-    keep_cache: bool = True, store: np.ndarray | None = None, project: DenseParams | None = None,
+    keep_cache: bool = True, store: np.ndarray | None = None,
+    on_step: Callable[[int, np.ndarray], None] | None = None,
 ) -> tuple[np.ndarray, LayerCache | None]:
     """Run the cell over a sequence from a zero state.
 
@@ -133,9 +134,10 @@ def lstm_layer_forward(
     view of b > 1 windows (x[k, j] == x[k + j, 0], as make_windows gives),
     else b * t. Returns all hidden states (b, t, units) when return_sequences,
     else the final one (b, units), plus the backward cache, laid out in
-    `store` (cache_size floats) when given. A dense `project` takes each state
-    as it is made, and the output is then (b, t, out). keep_cache=False returns
-    no cache. Hidden states take two slots, or a (t+1, u, b) array to return.
+    `store` (cache_size floats) when given. keep_cache=False returns no cache.
+    `on_step(j, h)` takes each hidden state (units, b) as it is made, in a slot
+    that step j + 2 writes over; the output is then the final state (b, units).
+    Hidden states take two slots, or a (t+1, u, b) array to return.
     """
     x = np.asarray(seq, dtype=float)
     if x.ndim != 3:
@@ -161,14 +163,14 @@ def lstm_layer_forward(
         cs = store[4 * t * u * b : cache_size(b, t, u)].reshape(t + 1, u, b)
     else:
         gates, cs = np.empty((t if shift is None else 1, 4 * u, b)), np.empty((2, u, b))
-    hs = np.empty((t + 1 if return_sequences and project is None else 2, u, b))
+    sequences = return_sequences and on_step is None
+    hs = np.empty((t + 1 if sequences else 2, u, b))
     if shift is None:
         np.matmul(params.w[u:].T, x.transpose(1, 2, 0), out=gates)
         gates += params.b[:, None]
     else:
         pre = params.w[u:].T @ rows.T
         pre += params.b[:, None]
-    y = None if project is None else np.empty((t, b, project.weight.shape[0]))
     tc = np.empty((u, b))  # tanh(c) of the current step; the backward pass recomputes it
     hs[0] = cs[0] = 0.0
     nh, nc = len(hs), len(cs)
@@ -178,12 +180,9 @@ def lstm_layer_forward(
             z[...] = pre[:, j * shift : j * shift + b]
         h = hs[(j + 1) % nh]
         lstm_cell_forward(params, z, hs[j % nh], cs[j % nc], h, cs[(j + 1) % nc], tc)
-        if y is not None:  # the per-timestep product dense_forward takes on (b, t, u) states
-            np.matmul(h.T, project.weight.T, out=y[j])
-            y[j] += project.bias
-    out = hs[1:].transpose(2, 0, 1) if return_sequences else hs[t % nh].T
-    if y is not None:
-        out = y.transpose(1, 0, 2)
+        if on_step is not None:
+            on_step(j, h)
+    out = hs[1:].transpose(2, 0, 1) if sequences else hs[t % nh].T
     cache = LayerCache(x[:, :1] if shift == 0 else x, cs, gates, return_sequences) if keep_cache else None
     return out, cache
 

@@ -317,14 +317,14 @@ class TestChunkedScoring:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0], peaks
 
-    def test_peak_memory_grows_with_the_window_length_by_the_reconstruction_only(self):
-        # the decoder's states go straight through the projection, so from
-        # t=25 to t=100 only the (t, SCORE_CHUNK, m) reconstruction grows
-        m = 5
-        x = np.random.default_rng(15).uniform(size=(2000, m))
+    def test_peak_memory_does_not_grow_with_the_window_length(self):
+        # each decoder step's errors go into the sums as the step is made, so
+        # no (t, SCORE_CHUNK, m) reconstruction is held: only the encoder's
+        # (4u, SCORE_CHUNK + t - 1) input projection still grows with t
+        x = np.random.default_rng(15).uniform(size=(2000, 5))
         peaks = []
-        for t in (25, 100):
-            weights = autoencoder.build(autoencoder.ModelConfig(timesteps=t, features=m, units=16))
+        for t in (10, 100):
+            weights = autoencoder.build(autoencoder.ModelConfig(timesteps=t, features=5, units=16))
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -332,7 +332,69 @@ class TestChunkedScoring:
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
             finally:
                 tracemalloc.stop()
-        assert peaks[1] - peaks[0] <= 1.2 * 75 * m * 8 * anomaly.SCORE_CHUNK, peaks
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def per_step_reference(x, weights, t):
+    """Scores summed one window at a time, in the order score_matrix documents:
+    chunks of SCORE_CHUNK windows in ascending order, and inside a chunk the
+    latest window first, each adding its steps' errors. A chunk's outputs are
+    taken as its forward pass hands them over, step by step."""
+    windows = make_windows(x, WindowConfig(t))
+    sums = np.zeros(x.shape)
+    for lo in range(0, len(windows), anomaly.SCORE_CHUNK):
+        chunk = windows[lo : lo + anomaly.SCORE_CHUNK]
+        recon = np.empty(chunk.shape)
+
+        def keep(j, y):
+            recon[:, j] = y
+
+        autoencoder.forward(weights, chunk, on_step=keep)
+        for k in reversed(range(len(chunk))):
+            for o in range(t):
+                sums[lo + k + o] += np.abs(recon[k, o] - x[lo + k + o])
+    return scores_from_sums(sums, t)
+
+
+def streamed_scores(x, weights, window, block):
+    """score_matrix over `block`-row slices of x with one Carry."""
+    carry, parts = anomaly.Carry(), []
+    for lo in range(0, len(x), block):
+        parts.append(score_matrix(x[lo : lo + block], weights, window, carry, lo + block >= len(x)))
+    return np.concatenate(parts)
+
+
+class TestFusedScoring:
+    """Scoring adds each decoder step's errors into the sums as it is made."""
+
+    @pytest.mark.parametrize("t", [1, 2, 7, 100])
+    @pytest.mark.parametrize("chunk", [7, 256])
+    def test_scores_equal_the_window_by_window_sums_bit_for_bit(self, t, chunk, monkeypatch):
+        # 2 * chunk + 1 windows: the last chunk holds one window
+        monkeypatch.setattr(anomaly, "SCORE_CHUNK", chunk)
+        weights = autoencoder.build(autoencoder.ModelConfig(timesteps=t, features=3, units=16, seed=t))
+        x = np.random.default_rng(t).uniform(size=(2 * chunk + t, 3))
+        scores = score_matrix(x, weights, WindowConfig(t))
+        assert scores.tobytes() == per_step_reference(x, weights, t).tobytes()
+
+    @pytest.mark.parametrize("t", [1, 2, 7, 100])
+    def test_scores_equal_the_double_loop_oracle(self, t):
+        weights = autoencoder.build(autoencoder.ModelConfig(timesteps=t, features=2, units=16, seed=t))
+        x = np.random.default_rng(20 + t).uniform(size=(260 + t, 2))
+        windows = make_windows(x, WindowConfig(t))
+        recon = np.stack([autoencoder.forward(weights, windows[k : k + 1])[0] for k in range(len(windows))])
+        oracle = brute_force_scores(x, recon, t)
+        scores = score_matrix(x, weights, WindowConfig(t))
+        assert np.max(np.abs(scores - oracle) / oracle) < 1e-12
+
+    @pytest.mark.parametrize("t", [1, 2, 7, 100])
+    @pytest.mark.parametrize("block", [1, 7, 512])
+    def test_streamed_blocks_equal_the_whole_matrix_bit_for_bit(self, t, block):
+        # SCORE_CHUNK + 1 windows: the last chunk holds one window
+        weights = autoencoder.build(autoencoder.ModelConfig(timesteps=t, features=3, units=16, seed=t))
+        x = np.random.default_rng(30 + t).uniform(size=(anomaly.SCORE_CHUNK + t, 3))
+        window = WindowConfig(t)
+        assert streamed_scores(x, weights, window, block).tobytes() == score_matrix(x, weights, window).tobytes()
 
 
 JUNK_ROW = st.sampled_from([[], ["1"], ["inf", "0.5", "BENIGN"], ["0.5", "nan", "x"], ["a", "1", "y"]])

@@ -165,16 +165,28 @@ class TestForward:
 
     @pytest.mark.parametrize("t,m,u", [(10, 5, 16), (2, 1, 32), (7, 3, 5)])
     def test_scoring_path_equals_the_training_reconstruction_bit_for_bit(self, t, m, u):
-        # scoring projects a window view's distinct rows once and sends the
-        # decoder's states straight through the projection; training projects
-        # every step of its gathered batch copy, keeps every state and
-        # projects them afterwards
+        # scoring projects a window view's distinct rows once and hands each
+        # decoder step's projection to a callback as it is made; training
+        # projects every step of its gathered batch copy, keeps every state
+        # and projects them afterwards
         w = build(ModelConfig(timesteps=t, features=m, units=u, dropout=0.0, seed=4))
         rng = np.random.default_rng(5)
         windows = make_windows(rng.uniform(size=(80, m)), WindowConfig(t))
         for x in (windows[3:40], windows[rng.permutation(len(windows))[:37]], windows[6:7]):
-            trained, _ = _forward(w, np.array(x), "train", None, keep_cache=True)
-            assert forward(w, x, mode="infer").tobytes() == np.ascontiguousarray(trained).tobytes()
+            trained = np.ascontiguousarray(_forward(w, np.array(x), "train", None, keep_cache=True)[0])
+            assert forward(w, x, mode="infer").tobytes() == trained.tobytes()
+            steps = np.empty((t, len(x), m))
+            assert forward(w, x, on_step=lambda j, y: steps.__setitem__(j, y)) is None
+            scored = np.ascontiguousarray(steps.transpose(1, 0, 2))
+            if len(x) > 1:
+                assert scored.tobytes() == trained.tobytes()
+            else:  # one window: a product per step, where dense_forward makes one over all t
+                assert np.allclose(scored, trained, rtol=1e-12, atol=0)
+
+    def test_step_callback_refuses_dropout(self):
+        w = build(ModelConfig(seed=3))
+        with pytest.raises(ParameterError):
+            forward(w, np.zeros((2, 10, 5)), "train", np.random.default_rng(0), on_step=print)
 
     def test_infer_mode_is_rng_independent(self):
         w = build(ModelConfig(seed=3))

@@ -597,6 +597,40 @@ class TestOutOfRangeArtifacts:
         assert capsys.readouterr().err.strip().splitlines() == [f"error: {model}: {message}"]
         assert not out.exists()
 
+    def test_a_json_file_that_is_not_an_object_is_refused(self, pipeline_dir, capsys):
+        # valid JSON, but no stage could have written it: one error line, exit 3
+        listed = pipeline_dir / "listed.json"
+        listed.write_text("[1, 2]\n")
+        scaler, prep = pipeline_dir / "prep" / "scaler.json", pipeline_dir / "prep"
+        capsys.readouterr()
+        assert run("calibrate", "--model", listed, "--scaler", scaler,
+                   "--input", prep / "train.csv", "--out", pipeline_dir / "listed_th.json") == 3
+        assert run("detect", "--model", pipeline_dir / "model.json", "--thresholds", listed,
+                   "--input", prep / "test.csv", "--out", pipeline_dir / "listed.csv") == 3
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: {listed}: malformed model file (not a JSON object)",
+            f"error: {listed}: malformed threshold file (not a JSON object)",
+        ]
+        assert not (pipeline_dir / "listed_th.json").exists() and not (pipeline_dir / "listed.csv").exists()
+
+    @pytest.mark.parametrize("bound, index, value", [("min", 0, float("nan")), ("max", 2, float("inf"))])
+    def test_a_non_finite_scaler_bound_is_refused(self, pipeline_dir, capsys, bound, index, value):
+        # a NaN bound would scale its feature to 0 and calibrate a finite threshold
+        prep = pipeline_dir / "prep"
+        scaler = edit_json(prep / "scaler.json", pipeline_dir / "scaler_edited.json",
+                           lambda d: d[bound].__setitem__(index, value))
+        th = edit_json(pipeline_dir / "th.json", pipeline_dir / "th_edited.json",
+                       lambda d: d["scaler"][bound].__setitem__(index, value))
+        capsys.readouterr()
+        assert run("calibrate", "--model", pipeline_dir / "model.json", "--scaler", scaler,
+                   "--input", prep / "train.csv", "--out", pipeline_dir / "edited_th.json") == 3
+        assert run("detect", "--thresholds", th, "--input", prep / "test.csv",
+                   "--out", pipeline_dir / "edited.csv") == 3
+        message = f"scaler {bound}[{index}] is not a finite number"
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: {scaler}: {message}", f"error: {th}: {message}"]
+        assert not (pipeline_dir / "edited_th.json").exists() and not (pipeline_dir / "edited.csv").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the case under test
     def test_calibrate_refuses_an_infinite_maximum_score(self, pipeline_dir, capsys):
         # finite parameters whose reconstruction overflows: every score is infinite

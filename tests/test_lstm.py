@@ -198,6 +198,19 @@ class TestLayerForward:
         assert cache is not None and none is None
         assert np.array_equal(cached, bare)
 
+    @pytest.mark.parametrize("t", [1, 2, 6])
+    def test_step_callback_sees_every_hidden_state_and_the_final_one_is_returned(self, t):
+        p = random_cell(3, 2, seed=18)
+        batch = np.random.default_rng(19).normal(size=(4, t, 2))
+        states, _ = lstm_layer_forward(p, batch, True)
+        seen = []
+        out, cache = lstm_layer_forward(
+            p, batch, True, keep_cache=False, on_step=lambda j, h: seen.append((j, h.T.copy()))
+        )
+        assert cache is None and [j for j, _ in seen] == list(range(t))
+        assert all(np.array_equal(h, states[:, j]) for j, h in seen)
+        assert out.tobytes() == np.ascontiguousarray(states[:, -1]).tobytes()
+
     def test_repeated_input_projected_once_matches_materialized(self):
         # a stride-0 repeat (the decoder's input) takes the projected-once
         # path; it must agree with the same values stored t times
