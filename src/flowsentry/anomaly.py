@@ -35,7 +35,7 @@ from .windowing import WindowConfig, make_windows
 
 THRESHOLD_FILE_VERSION = 2
 
-SCORE_CHUNK = 256  # windows per forward pass in score_matrix: peak ~ 23*u*SCORE_CHUNK*8 bytes, whatever t
+SCORE_CHUNK = 256  # windows per forward pass in score_matrix: peak ~ (15*SCORE_CHUNK + 4*t)*u*8 bytes
 
 
 @dataclass

@@ -55,6 +55,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("timesteps", "features", "units", "epochs", "batch_size", "seed"):
+            if type(value := getattr(self, name)) is bool or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         for name in ("timesteps", "features", "units", "batch_size"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -164,23 +167,28 @@ def _forward(weights: ModelWeights, x: np.ndarray, mode: str, rng, keep_cache: b
     bottleneck = dropout(encoded, enc_mask, cfg.dropout)
     # a stride-0 view: the decoder projects the bottleneck once, not t times
     repeated = np.broadcast_to(bottleneck[:, None, :], (x.shape[0], cfg.timesteps, cfg.units))
-    step = None
-    if on_step is not None:  # scoring: each decoder state is projected into one buffer as it is made
-        project, y = weights.projection, np.empty((x.shape[0], cfg.features))
+    step, recon = None, None
+    if on_step is not None or (not training and x.shape[0] > 1):
+        # without dropout each decoder state (u, b) is projected as it is made, into one (b, m)
+        # buffer for on_step or into the reconstruction, so scoring and training share its bits
+        recon = np.empty((x.shape[0], 1 if on_step else cfg.timesteps, cfg.features))
 
-        def step(j, h):  # the per-timestep product dense_forward takes on (b, t, u) states
-            on_step(j, np.add(np.matmul(h.T, project.weight.T, out=y), project.bias, out=y))
+        def step(j, h):
+            y, project = recon[:, j % recon.shape[1]], weights.projection
+            np.add(np.matmul(h.T, project.weight.T, out=y), project.bias, out=y)
+            if on_step is not None:
+                on_step(j, y)
 
     decoded, dec_cache = lstm_layer_forward(
         weights.decoder, repeated, True, keep_cache=keep_cache, store=store[size:], on_step=step
     )
-    if step is not None:
+    if on_step is not None:
         return None, None
     dec_mask = dropout_mask(decoded.shape, cfg.dropout, rng) if training else None
-    dec_out = dropout(decoded, dec_mask, cfg.dropout)
-    del decoded  # with dropout, the decoder's (t+1, u, b) state array is freed here
-    recon = dense_forward(weights.projection, dec_out)
-    return recon, (enc_cache, enc_mask, dec_cache, dec_mask, dec_out)
+    if step is None:  # dropout, or one window: the (b, t, u) states are projected in one product
+        dropout(decoded, dec_mask, cfg.dropout, out=decoded)  # over the decoder's own states
+        recon = dense_forward(weights.projection, decoded)
+    return recon, (enc_cache, enc_mask, dec_cache, dec_mask, decoded)
 
 
 def forward(
@@ -209,25 +217,24 @@ def loss_and_gradients(
     recon, (enc_cache, enc_mask, dec_cache, dec_mask, dec_out) = _forward(
         weights, x, mode, rng, keep_cache=True
     )
-    # each array is released or written over once used, to keep the step's peak memory low
-    d_recon = recon - x  # a new array: the mean adds in its layout; in recon's the loss's last bit moves
-    del recon
-    loss = float(np.mean(np.abs(d_recon)))
+    # each array is written over once used, to keep the step's peak memory low
+    d_recon = np.subtract(recon, x, out=recon)
+    negative = d_recon < 0  # the residual's sign, one byte a value, while its magnitude takes the array
+    loss = float(np.mean(np.abs(d_recon, out=d_recon)))
 
     grad = np.empty_like(weights.theta) if out is None else out
     d_enc, d_dec, d_proj = _split(grad, weights.config)
-    np.sign(d_recon, out=d_recon)
+    np.sign(d_recon, out=d_recon)  # 1, 0 or NaN
+    np.negative(d_recon, out=d_recon, where=negative)
     d_recon /= d_recon.size
-    # the dropout product is this step's own array; without dropout dec_out is the cache's states
-    _, d_decoded = dense_backward(
-        weights.projection, dec_out, d_recon, out=d_proj, overwrite_x=dec_mask is not None
-    )
-    del d_recon, dec_out
+    # the state gradient is written over the dropout product, the decoder's states
+    _, d_decoded = dense_backward(weights.projection, dec_out, d_recon, out=d_proj, overwrite_x=True)
+    del d_recon, negative, dec_out
     dropout(d_decoded, dec_mask, weights.config.dropout, out=d_decoded)
     del dec_mask
     _, d_repeated = lstm_layer_backward(weights.decoder, dec_cache, d_decoded, out=d_dec)
     del dec_cache, d_decoded
-    d_encoded = dropout(d_repeated.sum(axis=1), enc_mask, weights.config.dropout)
+    d_encoded = dropout(d_repeated[:, 0], enc_mask, weights.config.dropout)
     lstm_layer_backward(weights.encoder, enc_cache, d_encoded, out=d_enc)
     return loss, grad
 

@@ -93,12 +93,13 @@ class LayerCache(NamedTuple):
 
 def lstm_cell_forward(
     params: LstmParams, z: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
-    h: np.ndarray, c: np.ndarray, tc: np.ndarray,
+    h: np.ndarray, c: np.ndarray, tc: np.ndarray, pre: np.ndarray | None = None,
 ) -> None:
     """One gated-cell step, written into buffers; batch runs along the last axis.
 
-    z: (4*units, ...) input pre-activation w[units:].T @ x + b of this step;
-    it is overwritten with the gate activations [f, i, o, g].
+    z: (4*units, ...) input pre-activation w[units:].T @ x + b of this step,
+    or, when `pre` holds it, any buffer, which then takes the recurrent product
+    with no temporary; z is overwritten with the gate activations [f, i, o, g].
     h_prev, c_prev: (units, ...) state going in; h, c, tc receive the new
     hidden state, cell state and tanh(cell state).
 
@@ -106,7 +107,8 @@ def lstm_cell_forward(
     c = f*c_prev + i*g                             h = o*tanh(c)
     """
     u = h.shape[0]
-    z += params.w[:u].T @ h_prev
+    product = np.matmul(params.w[:u].T, h_prev, out=None if pre is None else z)
+    np.add(product, z if pre is None else pre, out=z)  # a + b has the bits of b + a
     sigmoid(z[: 3 * u], out=z[: 3 * u])
     g = z[3 * u :]
     np.tanh(g, out=g)
@@ -136,8 +138,9 @@ def lstm_layer_forward(
     else the final one (b, units), plus the backward cache, laid out in
     `store` (cache_size floats) when given. keep_cache=False returns no cache.
     `on_step(j, h)` takes each hidden state (units, b) as it is made, in a slot
-    that step j + 2 writes over; the output is then the final state (b, units).
-    Hidden states take two slots, or a (t+1, u, b) array to return.
+    that step j + 2 writes over; with no cache kept the output is then the final
+    state (b, units). States are made in two slots and copied into the returned
+    (b, t, units) array, which the caller may write over.
     """
     x = np.asarray(seq, dtype=float)
     if x.ndim != 3:
@@ -163,26 +166,25 @@ def lstm_layer_forward(
         cs = store[4 * t * u * b : cache_size(b, t, u)].reshape(t + 1, u, b)
     else:
         gates, cs = np.empty((t if shift is None else 1, 4 * u, b)), np.empty((2, u, b))
-    sequences = return_sequences and on_step is None
-    hs = np.empty((t + 1 if sequences else 2, u, b))
-    if shift is None:
-        np.matmul(params.w[u:].T, x.transpose(1, 2, 0), out=gates)
-        gates += params.b[:, None]
-    else:
-        pre = params.w[u:].T @ rows.T
-        pre += params.b[:, None]
+    hs = np.empty((2, u, b))  # step j writes slot j % 2
+    seq = np.empty((b, t, u)) if return_sequences and (keep_cache or on_step is None) else None
+    w_x = params.w[u:].T
+    pre = np.matmul(w_x, x.transpose(1, 2, 0), out=gates) if shift is None else w_x @ rows.T
+    pre += params.b[:, None]
     tc = np.empty((u, b))  # tanh(c) of the current step; the backward pass recomputes it
-    hs[0] = cs[0] = 0.0
-    nh, nc = len(hs), len(cs)
+    cs[0] = 0.0  # also the hidden state going into step 0
+    nc = len(cs)
     for j in range(t):
-        z = gates[j % len(gates)]
-        if shift is not None:
-            z[...] = pre[:, j * shift : j * shift + b]
-        h = hs[(j + 1) % nh]
-        lstm_cell_forward(params, z, hs[j % nh], cs[j % nc], h, cs[(j + 1) % nc], tc)
+        h = hs[j % 2]
+        lstm_cell_forward(
+            params, gates[j % len(gates)], hs[(j - 1) % 2] if j else cs[0], cs[j % nc], h,
+            cs[(j + 1) % nc], tc, None if shift is None else pre[:, j * shift : j * shift + b],
+        )
+        if seq is not None:
+            seq[:, j] = h.T
         if on_step is not None:
             on_step(j, h)
-    out = hs[1:].transpose(2, 0, 1) if sequences else hs[t % nh].T
+    out = hs[(t - 1) % 2].T if seq is None else seq
     cache = LayerCache(x[:, :1] if shift == 0 else x, cs, gates, return_sequences) if keep_cache else None
     return out, cache
 
@@ -194,8 +196,9 @@ def lstm_layer_backward(
 
     d_out matches the forward output: (b, t, units) when the forward
     returned sequences, else (b, units) applied at the final step.
-    Returns (parameter gradients, input-sequence gradients (b, t, input_dim));
-    the parameter gradients overwrite `out` when it is given. The cache is
+    Returns (parameter gradients, input-sequence gradients (b, t, input_dim),
+    or (b, 1, input_dim) for a repeated input: the gradient of its one distinct
+    row); the parameter gradients overwrite `out` when it is given. The cache is
     consumed: step j's gate gradients overwrite its activations, h_j its cell
     state c_j, and a second backward pass on the same cache raises.
     """
@@ -253,14 +256,18 @@ def lstm_layer_backward(
     # the weight-gradient GEMMs (cs[j] holds step j's h_prev now), added in time order as np.sum does
     grads = out if out is not None else LstmParams.zeros(u, d)
     dz_b = dz.transpose(0, 2, 1)  # (t, b, 4u)
-    dz_x = dz_b if cache.x.shape[1] == t else dz_b.sum(axis=0, keepdims=True)
-    for a, dz_a, w_a in ((cache.cs, dz_b, grads.w[:u]), (cache.x.transpose(1, 2, 0), dz_x, grads.w[u:])):
+    repeated = cache.x.shape[1] < t
+    dz_x = dz_b.sum(axis=0, keepdims=True) if repeated else dz_b
+    # a repeated input's gradient is its one distinct row's: the steps' products added in time order
+    d_x = np.empty((b, 1, d)) if repeated else np.matmul(dz_b, params.w[u:].T).transpose(1, 0, 2)
+    products = [(cache.cs, dz_b, grads.w[:u]), (cache.x.transpose(1, 2, 0), dz_x, grads.w[u:]),
+                (dz_b, np.broadcast_to(params.w[u:].T, (t, 4 * u, d)), d_x[:, 0])]
+    for a, dz_a, w_a in products[: 2 + repeated]:
         np.matmul(a[0], dz_a[0], out=w_a)
         part = np.empty_like(w_a)
         for j in range(1, len(dz_a)):
             w_a += np.matmul(a[j], dz_a[j], out=part)
     np.sum(dz, axis=(0, 2), out=grads.b)
-    d_x = np.matmul(dz_b, params.w[u:].T).transpose(1, 0, 2)
     return grads, d_x
 
 
@@ -284,19 +291,11 @@ class DenseParams:
 
 
 def dense_forward(params: DenseParams, x: np.ndarray) -> np.ndarray:
-    """y = x @ W.T + b over the trailing axis; any leading shape, one GEMM.
-
-    A (b, t, u) view that reshaping would copy, as the decoder's transposed
-    states are, is projected one timestep at a time and returned as a view.
-    """
+    """y = x @ W.T + b over the trailing axis; any leading shape, one GEMM."""
     x = np.asarray(x, dtype=float)
     out_dim, in_dim = params.weight.shape
     if x.shape[-1] != in_dim:
         raise ShapeError(f"input has {x.shape[-1]} feature(s), dense expects {in_dim}")
-    if x.ndim == 3 and not x.flags.c_contiguous:
-        y = np.matmul(x.transpose(1, 0, 2), params.weight.T)
-        y += params.bias
-        return y.transpose(1, 0, 2)
     y = x.reshape(-1, in_dim) @ params.weight.T
     y += params.bias
     return y.reshape(x.shape[:-1] + (out_dim,))
@@ -308,7 +307,7 @@ def dense_backward(
 ) -> tuple[DenseParams, np.ndarray]:
     """Gradients of the affine map; d_out must match the forward output shape.
     The parameter gradients overwrite `out` when it is given; with overwrite_x
-    the input gradient is written over a C-contiguous `x` once it is read."""
+    the input gradient is written over `x`, which must be C-contiguous, once it is read."""
     x = np.asarray(x, dtype=float)
     d_out = np.asarray(d_out, dtype=float)
     out_dim, in_dim = params.weight.shape
@@ -320,7 +319,9 @@ def dense_backward(
     flat_d = d_out.reshape(-1, out_dim)
     np.matmul(flat_d.T, x.reshape(-1, in_dim), out=grads.weight)
     np.sum(flat_d, axis=0, out=grads.bias)
-    d_x = x if overwrite_x and x.flags.c_contiguous else np.empty(x.shape)
+    if overwrite_x and not x.flags.c_contiguous:
+        raise ShapeError("overwrite_x needs a C-contiguous input to write the gradient over")
+    d_x = x if overwrite_x else np.empty(x.shape)
     np.matmul(flat_d, params.weight, out=d_x.reshape(-1, in_dim))
     return grads, d_x
 

@@ -334,6 +334,27 @@ class TestChunkedScoring:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0], peaks
 
+    @pytest.mark.parametrize("t", [10, 100])
+    def test_peak_memory_holds_no_per_step_gate_temporary(self, t):
+        # a cell step writes its recurrent product into its own gate slot, so a chunk
+        # holds one layer's input projection (4u, c + t - 1 at most) and gate slot
+        # (4u, c), up to seven (u, c) state arrays, numpy's ufunc buffer (the encoder adds
+        # a strided slice of its projection) and the stream's scores, rows and error
+        # sums. The margin is less than the (4u, c) temporary a step used to take.
+        n, m, u, c = 2000, 5, 16, anomaly.SCORE_CHUNK
+        weights = autoencoder.build(autoencoder.ModelConfig(timesteps=t, features=m, units=u))
+        x = np.random.default_rng(16).uniform(size=(n, m))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            score_matrix(x, weights, WindowConfig(t))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        kernel = 8 * (4 * u * (c + t - 1) + 4 * u * c + 7 * u * c)
+        stream = 8 * (np.getbufsize() + n + 4 * (2 * c + t) * m)
+        assert peak <= kernel + stream, (peak, kernel, stream)
+
 
 def per_step_reference(x, weights, t):
     """Scores summed one window at a time, in the order score_matrix documents:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowsentry import autoencoder
 from flowsentry.autoencoder import (
     ModelConfig,
     ModelWeights,
@@ -80,6 +81,13 @@ class TestBuild:
             ModelConfig(dropout=1.0)
         with pytest.raises(ParameterError):
             ModelConfig(learning_rate=0.0)
+
+    @pytest.mark.parametrize("key", ["timesteps", "features", "units", "epochs", "batch_size", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_a_count_must_be_an_integer(self, key, value):
+        with pytest.raises(ParameterError, match=f"{key} must be an integer"):
+            ModelConfig(**{key: value})
+        assert getattr(ModelConfig(**{key: np.int64(3)}), key) == 3
 
     def test_every_array_is_a_view_into_theta(self):
         w = build(tiny_config())
@@ -432,8 +440,10 @@ class TestEndToEndGradients:
         self, dropout
     ):
         # the backward pass writes its gradients over the activations it has read and
-        # rebuilds the hidden states over the cell states, so only the two layers'
-        # caches, two (b, t, u) state arrays and two (b, t, m) arrays grow with t
+        # rebuilds the hidden states over the cell states; the decoder's one (b, t, u) state
+        # array takes the dropout product and the state gradient, and the reconstruction the
+        # residual. Only the two layers' caches, that state array, the (b, t, m)
+        # reconstruction, the residual's one-byte signs and the dropout mask grow with t
         b, u, m, peaks = 64, 16, 5, []
         for t in (25, 100):
             cfg = ModelConfig(timesteps=t, features=m, units=u, dropout=dropout, seed=1)
@@ -450,4 +460,33 @@ class TestEndToEndGradients:
         steps = 100 - 25
         caches = 2 * 5 * steps * u * b * 8  # each cache holds 5 (u, b) arrays a step: gates, cell state
         states, recons = steps * b * u * 8, steps * b * m * 8  # a (b, t, u) and a (b, t, m) array
-        assert peaks[1] - peaks[0] <= caches + 2 * states + 2 * recons, peaks
+        signs, mask = steps * b * m, steps * b * u if dropout else 0  # booleans
+        assert peaks[1] - peaks[0] <= caches + states + recons + signs + mask, peaks
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_the_decoder_states_take_the_dropout_product_and_the_state_gradient(
+        self, dropout, monkeypatch
+    ):
+        seen = {}
+
+        def spy(name, pick):
+            fn = getattr(autoencoder, name)
+
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                seen.setdefault(name, []).append(pick(args, result))
+                return result
+
+            monkeypatch.setattr(autoencoder, name, wrapper)
+
+        spy("lstm_layer_forward", lambda args, result: result[0])
+        spy("dense_forward", lambda args, result: args[1])
+        spy("dense_backward", lambda args, result: result[1])
+        cfg = tiny_config(seed=30, dropout=dropout)
+        x = np.random.default_rng(31).uniform(size=(6, cfg.timesteps, cfg.features))
+        loss_and_gradients(build(cfg), x, "train", np.random.default_rng(32))
+        states = seen["lstm_layer_forward"][1]  # the decoder's output
+        assert states.shape == (6, cfg.timesteps, cfg.units) and states.flags.c_contiguous
+        if dropout:  # without dropout each state is projected as it is made
+            assert np.shares_memory(seen["dense_forward"][0], states)  # the dropout product
+        assert np.shares_memory(seen["dense_backward"][0], states)  # the projection's input gradient

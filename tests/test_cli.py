@@ -597,6 +597,25 @@ class TestOutOfRangeArtifacts:
         assert capsys.readouterr().err.strip().splitlines() == [f"error: {model}: {message}"]
         assert not out.exists()
 
+    def test_a_count_that_is_not_an_integer_is_refused(self, pipeline_dir, capsys):
+        # a fractional window once ended calibrate with a traceback; a fractional batch loaded
+        prep = pipeline_dir / "prep"
+        cases = [("timesteps", 10.5), ("timesteps", True), ("features", 5.0), ("units", "16"),
+                 ("epochs", 1.5), ("batch_size", 2.5), ("seed", 1.5)]
+        for key, value in cases:
+            model = edit_json(pipeline_dir / "model.json", pipeline_dir / "edited.json",
+                              lambda d: d["config"].update({key: value}))
+            capsys.readouterr()
+            assert run("calibrate", "--model", model, "--scaler", prep / "scaler.json",
+                       "--input", prep / "train.csv", "--out", pipeline_dir / "edited_th.json") == 3
+            assert run("detect", "--model", model, "--thresholds", pipeline_dir / "th.json",
+                       "--input", prep / "test.csv", "--out", pipeline_dir / "edited.csv") == 3
+            message = f"error: {model}: malformed model file ({key} must be an integer, got {value!r})"
+            assert capsys.readouterr().err.strip().splitlines() == [message, message]
+            assert not (pipeline_dir / "edited_th.json").exists()
+            assert not (pipeline_dir / "edited.csv").exists()
+            assert not (pipeline_dir / "edited.csv.part").exists()
+
     def test_a_json_file_that_is_not_an_object_is_refused(self, pipeline_dir, capsys):
         # valid JSON, but no stage could have written it: one error line, exit 3
         listed = pipeline_dir / "listed.json"
