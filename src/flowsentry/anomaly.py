@@ -128,9 +128,11 @@ def score_matrix(
 def _score_block(
     x: np.ndarray, weights: ModelWeights, window: WindowConfig, carry: Carry, last: bool
 ) -> np.ndarray:
-    sums = np.zeros(x.shape)
-    if carry.rows is not None:
-        x, sums = np.concatenate([carry.rows, x]), np.concatenate([carry.sums, sums])
+    held = 0 if carry.rows is None else len(carry.rows)
+    sums = np.zeros((held + len(x), *x.shape[1:]))
+    if held:
+        x, sums[:held] = np.concatenate([carry.rows, x]), carry.sums
+    carry.rows = carry.sums = None  # not held through the forward pass
     t = window.timesteps
     w = len(x) - t + 1
     end = w if last else max(w, 0) // SCORE_CHUNK * SCORE_CHUNK  # the windows scored now
@@ -146,7 +148,8 @@ def _score_block(
     # windows holding stream row i: at least t rows follow every row finished before the end
     i, n = np.arange(carry.done, carry.done + k), carry.done + len(x)
     counts = np.minimum(np.minimum(i + 1, n - i), min(t, n - t + 1))
-    carry.rows, carry.sums, carry.done = x[k:], sums[k:], carry.done + k
+    # copies: a view of the tail would keep this block's whole arrays alive
+    carry.rows, carry.sums, carry.done = x[k:].copy(), sums[k:].copy(), carry.done + k
     return (sums[:k] / counts[:, None]).mean(axis=1)
 
 

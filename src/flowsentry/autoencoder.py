@@ -63,9 +63,9 @@ class ModelConfig:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.epochs < 0:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
-        if not 0 <= self.dropout < 1:
+        if type(self.dropout) is bool or not 0 <= self.dropout < 1:
             raise ParameterError(f"dropout must be in [0,1), got {self.dropout}")
-        if not 0 < self.learning_rate < math.inf:  # a NaN fails too
+        if type(self.learning_rate) is bool or not 0 < self.learning_rate < math.inf:  # a NaN fails too
             raise ParameterError(f"learning_rate (--lr) must be finite and > 0, got {self.learning_rate}")
 
 

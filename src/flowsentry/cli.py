@@ -17,6 +17,7 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator
@@ -143,17 +144,21 @@ def _stream_scores(
     source row indices of the rows that block finished (see
     anomaly.score_matrix)."""
     window = WindowConfig(timesteps=weights.config.timesteps)
-    carry, labels, rows = anomaly.Carry(), np.empty(0, dtype=int), np.empty(0, dtype=int)
+    end = ingest.Dataset(np.empty((0, scaler.m)), np.empty(0, dtype=int), np.empty(0, dtype=int))
+    carry, labels, rows = anomaly.Carry(), end.labels, end.rows
     blocks = ingest.read_blocks(path, FeatureSpec(scaler.feature_names, label_col))
-    for ds, following in itertools.pairwise(itertools.chain(blocks, [None])):
-        last = following is None
-        if last and not carry.done + len(rows) + len(ds):
+    # an empty last block flushes the carry, so no block is parsed ahead
+    for ds in itertools.chain(blocks, [end]):
+        if ds is end and not carry.done + len(rows):
             break
         scaled = ingest.apply_scaler(ds.matrix, scaler)
-        scores = anomaly.score_matrix(scaled, weights, window, carry, last)
         labels, rows = np.concatenate([labels, ds.labels]), np.concatenate([rows, ds.rows])
-        yield scaled, scores, labels[: len(scores)], rows[: len(scores)]
-        labels, rows = labels[len(scores) :], rows[len(scores) :]
+        last, ds = ds is end, None  # the parsed block is not held through the forward pass
+        scores = anomaly.score_matrix(scaled, weights, window, carry, last)
+        k = len(scores)
+        yield scaled, scores, labels[:k], rows[:k]
+        del scaled, scores  # not held while the next block is parsed and scored
+        labels, rows = labels[k:].copy(), rows[k:].copy()
     if not carry.done:
         raise DataError(f"{path}: no usable rows")
 
@@ -175,11 +180,10 @@ def _fit(scaled: np.ndarray, cfg: dict) -> tuple[autoencoder.ModelWeights, autoe
 
 
 def _evaluate_arrays(
-    scores: np.ndarray, verdicts: np.ndarray, labels: np.ndarray, metadata: dict
+    scores: np.ndarray, counts: evaluation.ConfusionCounts, labels: np.ndarray, metadata: dict
 ) -> evaluation.MetricsReport:
-    counts = evaluation.confusion(verdicts, labels)
     report = evaluation.metrics(counts)
-    if len(set(labels.tolist())) == 2:
+    if counts.tp + counts.fn and counts.tn + counts.fp:  # both classes
         report.auc = evaluation.auc_roc(scores, labels)
     else:
         report.degenerate = report.degenerate + ("auc",)
@@ -266,6 +270,7 @@ def cmd_calibrate(args: argparse.Namespace, cfg: dict) -> int:
         maxima.append(scores.max(initial=-np.inf))
         samples += len(scaled)
         fingerprint.update(np.ascontiguousarray(scaled))
+        del scaled, scores  # not held while the next block is parsed and scored
     tm = anomaly.ThresholdModel(
         threshold=anomaly.calibrate(np.array(maxima)),
         scaler=scaler,
@@ -307,6 +312,7 @@ def cmd_detect(args: argparse.Namespace, cfg: dict) -> int:
                 columns = (rows, scores, verdicts, labels)
                 fh.write("".join(map("%d,%r,%d,%d\n".__mod__, zip(*(c.tolist() for c in columns)))))
                 flagged, samples = flagged + int(verdicts.sum()), samples + len(verdicts)
+                del _, scores, labels, rows, verdicts, columns  # as in calibrate
         os.replace(part, args.out)
     except BaseException:
         Path(part).unlink(missing_ok=True)
@@ -315,37 +321,44 @@ def cmd_detect(args: argparse.Namespace, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _read_verdicts(path: str, size: int = ingest.PARSE_BLOCK) -> tuple[np.ndarray, ...]:
-    """The score, verdict and label columns, converted `size` rows at a time. A
+def _read_verdicts(path: str, size: int = ingest.PARSE_BLOCK) -> tuple[np.ndarray, np.ndarray, Counter]:
+    """The score and label columns, in arrays sized from a line count, and the
+    count of each (verdict, label) pair, converted `size` rows at a time. A
     malformed file is read again one row at a time, so that the error names the
     line of its first bad row."""
+    with ingest.open_text(path) as fh:
+        lines = sum(1 for _ in fh)
+    scores, labels, pairs, n = np.empty(lines), np.empty(lines, dtype=np.int8), Counter(), 0
     with ingest.open_text(path) as fh:
         reader = csv.reader(fh)
         header = {name: i for i, name in enumerate(next(reader, []))}
         if not header.keys() >= {"score", "verdict", "label"}:
             raise DataError(f"{path}: expected columns row_index,score,verdict,label")
         columns = [header["score"], header["verdict"], header["label"]]
-        parts = [[np.empty(0), np.empty(0, dtype=int), np.empty(0, dtype=int)]]  # the dtypes
         while block := list(itertools.islice(reader, size)):
             rows = list(filter(None, block))
             try:
-                part = [np.array(list(map(kind, map(itemgetter(i), rows))), dtype=kind)
-                        for kind, i in zip((float, int, int), columns)]
+                score, verdict, label = [np.array(list(map(kind, map(itemgetter(i), rows))), dtype=kind)
+                                         for kind, i in zip((float, int, int), columns)]
             except (IndexError, ValueError, OverflowError) as exc:  # Overflow: beyond int64
                 if size > 1:
                     return _read_verdicts(path, 1)
                 cells = [rows[0][i] if i < len(rows[0]) else None for i in columns]
                 raise DataError(f"{path}, line {reader.line_num}: score, verdict and label "
                                 f"must be numbers, got {cells}") from exc
-            if not np.isfinite(part[0]).all():
+            if not np.isfinite(score).all():
                 if size > 1:
                     return _read_verdicts(path, 1)
-                raise DataError(f"{path}, line {reader.line_num}: non-finite score {part[0][0]}")
-            parts.append(part)
-    scores, verdicts, labels = map(np.concatenate, zip(*parts))
-    if not scores.size:
+                raise DataError(f"{path}, line {reader.line_num}: non-finite score {score[0]}")
+            # a label beyond int8 wraps here, but confusion() refuses it from the pairs first
+            scores[n : n + len(rows)], labels[n : n + len(rows)] = score, label
+            n += len(rows)
+            pairs.update(zip(verdict.tolist(), label.tolist()))
+    if not n:
         raise DataError(f"{path}: no verdict rows")
-    return scores, verdicts, labels
+    for column in (scores, labels):  # in place: a shrinking realloc keeps one copy
+        column.resize(n, refcheck=False)
+    return scores, labels, pairs
 
 
 def _read_history(path: str) -> tuple[dict, list[float]]:
@@ -369,19 +382,22 @@ def _read_history(path: str) -> tuple[dict, list[float]]:
 
 
 def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
-    scores, verdicts, labels = _read_verdicts(args.verdicts)
+    scores, labels, pairs = _read_verdicts(args.verdicts)
     metadata: dict = {"verdicts": str(args.verdicts)}
     if args.history:
         metadata["config"], times = _read_history(args.history)
         metadata.update(_epoch_timing(times))
-    report = _evaluate_arrays(scores, verdicts, labels, metadata)
+    counts = evaluation.confusion(*zip(*pairs), list(pairs.values()))
+    report = _evaluate_arrays(scores, counts, labels, metadata)
+    # before any file is written: a ROC with one class present raises
+    points = evaluation.roc_points(scores, labels) if args.roc_points else ()
     evaluation.emit_report(report, args.format, args.out)
     if args.roc_points:
-        points = evaluation.roc_points(scores, labels)
         with open(args.roc_points, "w", encoding="utf-8", newline="") as fh:
             fh.write("threshold,fpr,tpr\n")
-            for theta, fpr, tpr in points:
-                fh.write(f"{theta!r},{fpr!r},{tpr!r}\n")
+            for lo in range(0, len(points[0]), ingest.PARSE_BLOCK):
+                block = (c[lo : lo + ingest.PARSE_BLOCK].tolist() for c in points)
+                fh.write("".join(map("%r,%r,%r\n".__mod__, zip(*block))))
     auc_text = "n/a" if report.auc is None else f"{report.auc:.4f}"
     print(
         f"evaluate: accuracy {report.accuracy:.4f} precision {report.precision:.4f} "
@@ -406,9 +422,9 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
         train_scores = anomaly.score_matrix(scaled_train, weights, WindowConfig(window))
         threshold = anomaly.calibrate(train_scores)
         scores = anomaly.score_matrix(scaled_test, weights, WindowConfig(window))
-        verdicts = anomaly.classify(scores, threshold)
+        counts = evaluation.confusion(anomaly.classify(scores, threshold), test.labels)
         metadata = {"config": cell, "threshold": threshold, **_epoch_timing(fit.epoch_seconds)}
-        reports.append(_evaluate_arrays(scores, verdicts, test.labels, metadata))
+        reports.append(_evaluate_arrays(scores, counts, test.labels, metadata))
     evaluation.write_sweep_csv(reports, args.out)
     print(f"sweep: {len(reports)} cell(s) -> {args.out}")
     return EXIT_OK

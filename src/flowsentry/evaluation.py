@@ -79,27 +79,25 @@ def _binary_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ShapeError(f"{name} must be a 1-D vector")
-    arr = arr.astype(int)
+    if arr.dtype.kind != "i":  # a signed integer vector is used as it is, int8 labels too
+        arr = arr.astype(int)
     bad = set(np.unique(arr).tolist()) - {0, 1}
     if bad:
         raise DataError(f"{name} contains non-binary value(s): {sorted(bad)}")
     return arr
 
 
-def confusion(verdicts, labels) -> ConfusionCounts:
-    """Count TP/TN/FP/FN with anomaly (1) as the positive class."""
+def confusion(verdicts, labels, weights=None) -> ConfusionCounts:
+    """Count TP/TN/FP/FN with anomaly (1) as the positive class; the i-th
+    (verdict, label) pair counts weights[i] times, once without weights."""
     v = _binary_vector(verdicts, "verdicts")
     y = _binary_vector(labels, "labels")
     if v.shape != y.shape:
         raise ShapeError(f"length mismatch: {v.shape[0]} verdicts vs {y.shape[0]} labels")
     if v.size == 0:
         raise DataError("cannot build a confusion matrix from empty inputs")
-    return ConfusionCounts(
-        tp=int(np.sum((v == 1) & (y == 1))),
-        tn=int(np.sum((v == 0) & (y == 0))),
-        fp=int(np.sum((v == 1) & (y == 0))),
-        fn=int(np.sum((v == 0) & (y == 1))),
-    )
+    tn, fn, fp, tp = map(int, np.bincount(2 * v + y, weights, minlength=4))
+    return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)
 
 
 def metrics(c: ConfusionCounts) -> MetricsReport:
@@ -127,9 +125,9 @@ def metrics(c: ConfusionCounts) -> MetricsReport:
 
 
 def _roc_counts(scores, labels, curve: str):
-    """One stable descending sort: the distinct scores, highest first, and the
-    negatives (fp) and positives (tp) scoring strictly above each of them,
-    with one more entry that counts every sample."""
+    """One stable descending sort: the distinct scores, highest first, then
+    -inf, and the negatives (fp) and positives (tp) scoring strictly above
+    each of them."""
     s = np.asarray(scores, dtype=float)
     y = _binary_vector(labels, "labels")
     if s.shape != y.shape:
@@ -139,28 +137,28 @@ def _roc_counts(scores, labels, curve: str):
     if n_pos == 0 or n_neg == 0:
         raise DataError(f"{curve} is undefined when only one class is present")
     order = np.argsort(-s, kind="stable")
-    s, y = s[order], y[order]
-    ends = np.append(np.flatnonzero(s[1:] != s[:-1]), s.size - 1)  # last index of each tie group
+    s, y, order = s[order], y[order], None  # each array is let go once it is used
+    ends = np.flatnonzero(np.append(s[1:] != s[:-1], True))  # last index of each tie group
+    thresholds, s = np.append(s[ends], -np.inf), None
     tp = np.concatenate(([0], np.cumsum(y)[ends]))
-    fp = np.concatenate(([0], ends + 1)) - tp
-    return s[ends], fp, tp, n_neg, n_pos
+    fp = np.concatenate(([0], ends + 1))
+    fp -= tp
+    return thresholds, fp, tp, n_neg, n_pos
 
 
 def auc_roc(scores, labels) -> float:
     """P(random positive outscores random negative), ties half: the ROC
     trapezoid, summed in exact integer counts."""
     _, fp, tp, n_neg, n_pos = _roc_counts(scores, labels, "AUC")
-    u2 = int(np.sum(np.diff(fp) * (tp[1:] + tp[:-1])))  # twice the Mann-Whitney U
+    u2 = int(np.dot(np.diff(fp), tp[1:] + tp[:-1]))  # twice the Mann-Whitney U
     return u2 / 2 / (n_pos * n_neg)
 
 
-def roc_points(scores, labels) -> list[tuple[float, float, float]]:
-    """(threshold, fpr, tpr) plot points using the strict score>threshold rule,
-    one per distinct score, highest first, then (-inf, 1, 1)."""
+def roc_points(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The threshold, fpr and tpr arrays of the plot points using the strict
+    score>threshold rule, one per distinct score, highest first, then (-inf, 1, 1)."""
     thresholds, fp, tp, n_neg, n_pos = _roc_counts(scores, labels, "ROC")
-    points = list(zip(thresholds.tolist(), (fp[:-1] / n_neg).tolist(), (tp[:-1] / n_pos).tolist()))
-    points.append((float("-inf"), 1.0, 1.0))
-    return points
+    return thresholds, fp / n_neg, tp / n_pos
 
 
 def _markdown_table(report: MetricsReport) -> str:

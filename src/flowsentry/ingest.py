@@ -153,11 +153,11 @@ def read_blocks(path: str | Path, spec: FeatureSpec | None = None) -> Iterator[D
         wanted = [columns[c] for c in (*spec.names, spec.label_column)]
         seen = skipped = 0
         while block := list(islice(reader, PARSE_BLOCK)):
-            part = to_dataset(block, seen, wanted)
-            skipped += len(block) - block.count([]) - len(part)
+            part = [to_dataset(block, seen, wanted)]  # popped as it is yielded: not held here after
+            skipped += len(block) - block.count([]) - len(part[0])
             seen += len(block)
             del block  # the row strings are not held while the consumer uses the part
-            yield part
+            yield part.pop()
     if skipped:
         logger.warning("%s: skipped %d malformed row(s)", path, skipped)
 

@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import hashlib
@@ -466,6 +467,31 @@ class TestStreamedScoring:
         recon = [autoencoder.forward(weights, windows[k : k + 1])[0] for k in range(len(windows))]
         oracle = brute_force_scores(x, np.stack(recon), t)
         assert np.all(np.abs(scores - oracle) <= 1e-12 * oracle)
+
+    @pytest.mark.parametrize("t", [10, 100])
+    def test_stream_peak_holds_one_block(self, t, tmp_path):
+        # while a block is scored, the stream holds that block only: not the
+        # next one parsed ahead, nor a carry that is a view of the previous
+        # block's whole arrays, nor (for a consumer that drops it) the last yield
+        n, m, u, b, c = 3000, 5, 16, ingest.PARSE_BLOCK, anomaly.SCORE_CHUNK
+        path = tmp_path / "flows.csv"
+        write_csv(path, np.random.default_rng(17).uniform(size=(n, m)), np.zeros(n, dtype=int))
+        scaler = Scaler(np.zeros(m), np.ones(m), ingest.DEFAULT_FEATURES)
+        weights = autoencoder.build(autoencoder.ModelConfig(timesteps=t, features=m, units=u))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            collections.deque(cli._stream_scores(path, scaler, "Label", weights), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the kernel term of test_peak_memory_holds_no_per_step_gate_temporary and
+        # numpy's ufunc buffer, then one block's arrays: the parsed block and its
+        # scaled copy, the pending labels and row indices, the rows and error sums
+        # from the carry on, and the two (c, m) temporaries of a step's errors
+        kernel = 8 * (4 * u * (c + t - 1) + 4 * u * c + 7 * u * c + np.getbufsize())
+        block = 8 * (b * (m + 2) + b * m + 2 * (b + c + t) * (m + 1) + 2 * c * m)
+        assert peak <= kernel + block, (peak, kernel, block)
 
 
 class TestThresholdPersistence:

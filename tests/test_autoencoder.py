@@ -89,6 +89,13 @@ class TestBuild:
             ModelConfig(**{key: value})
         assert getattr(ModelConfig(**{key: np.int64(3)}), key) == 3
 
+    @pytest.mark.parametrize("key, value", [("dropout", False), ("dropout", True),
+                                            ("learning_rate", True), ("learning_rate", False)])
+    def test_a_rate_must_not_be_a_boolean(self, key, value):
+        with pytest.raises(ParameterError, match=f"{key}.* must be"):
+            ModelConfig(**{key: value})
+        assert getattr(ModelConfig(**{key: np.float64(0.5)}), key) == 0.5
+
     def test_every_array_is_a_view_into_theta(self):
         w = build(tiny_config())
         arrays = (w.encoder.w, w.encoder.b, w.decoder.w, w.decoder.b,

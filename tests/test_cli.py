@@ -125,6 +125,18 @@ class TestPipeline:
         assert doc["auc"] is None
         assert "auc" in doc["degenerate"]
 
+    def test_an_undefined_roc_writes_no_file(self, pipeline_dir, capsys):
+        # the report was once written before the ROC of one class failed
+        verdicts = pipeline_dir / "benign_verdicts.csv"
+        report, roc = pipeline_dir / "benign_report.json", pipeline_dir / "benign_roc.csv"
+        assert run("detect", "--thresholds", pipeline_dir / "th.json",
+                   "--input", pipeline_dir / "prep" / "train.csv", "--out", verdicts) == 0
+        capsys.readouterr()
+        assert run("evaluate", "--verdicts", verdicts, "--out", report, "--roc-points", roc) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: ROC is undefined when only one class is present"], err
+        assert not report.exists() and not roc.exists()
+
     def test_threshold_embeds_the_training_split_scaler(self, pipeline_dir):
         # the scaler shipped for scoring must be the one fitted on the
         # training split, never refitted on test data
@@ -616,6 +628,24 @@ class TestOutOfRangeArtifacts:
             assert not (pipeline_dir / "edited.csv").exists()
             assert not (pipeline_dir / "edited.csv.part").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("dropout", False, "dropout must be in [0,1), got False"),
+        ("learning_rate", True, "learning_rate (--lr) must be finite and > 0, got True"),
+    ])
+    def test_a_boolean_rate_is_refused(self, pipeline_dir, capsys, key, value, message):
+        # false and true compare as 0 and 1, so they loaded as dropout 0 and learning rate 1
+        prep = pipeline_dir / "prep"
+        model = edit_json(pipeline_dir / "model.json", pipeline_dir / "edited.json",
+                          lambda d: d["config"].update({key: value}))
+        capsys.readouterr()
+        assert run("calibrate", "--model", model, "--scaler", prep / "scaler.json",
+                   "--input", prep / "train.csv", "--out", pipeline_dir / "edited_th.json") == 3
+        assert run("detect", "--model", model, "--thresholds", pipeline_dir / "th.json",
+                   "--input", prep / "test.csv", "--out", pipeline_dir / "edited.csv") == 3
+        line = f"error: {model}: malformed model file ({message})"
+        assert capsys.readouterr().err.strip().splitlines() == [line, line]
+        assert not (pipeline_dir / "edited_th.json").exists() and not (pipeline_dir / "edited.csv").exists()
+
     def test_a_json_file_that_is_not_an_object_is_refused(self, pipeline_dir, capsys):
         # valid JSON, but no stage could have written it: one error line, exit 3
         listed = pipeline_dir / "listed.json"
@@ -770,6 +800,31 @@ class TestStreamingStages:
         small, large = peaks(10_000), peaks(40_000)
         for stage in small:
             assert large[stage] < 1.1 * small[stage], (stage, small, large)
+
+    def test_evaluate_holds_a_few_bytes_a_verdict_row(self, tmp_path):
+        # a float64 score and an int8 label a row, then one sort's arrays for the
+        # AUC and the ROC; a list of (threshold, fpr, tpr) tuples took 216 bytes a row
+        rng = np.random.default_rng(6)
+
+        def peak(n):
+            labels = (rng.random(n) < 0.8).astype(int)
+            scores = rng.random(n) + 0.5 * labels
+            verdicts = tmp_path / f"{n}.csv"
+            verdicts.write_text("row_index,score,verdict,label\n" + "".join(
+                f"{i},{s!r},{int(s > 1.0)},{y}\n" for i, (s, y) in enumerate(zip(scores.tolist(), labels.tolist()))))
+            argv = ["evaluate", "--verdicts", verdicts, "--out", tmp_path / "r.json",
+                    "--roc-points", tmp_path / "roc.csv"]
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert run(*argv) == 0
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        peak(1_000)  # first use: lazy imports and caches
+        small, large = peak(10_000), peak(40_000)
+        assert (large - small) / 30_000 <= 64, (small, large)
 
 
 class TestUnreadableText:

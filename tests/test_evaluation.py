@@ -60,6 +60,11 @@ def brute_force_roc(scores, labels):
     return points
 
 
+def roc_tuples(scores, labels):
+    """roc_points' three arrays as (threshold, fpr, tpr) tuples of Python floats."""
+    return list(zip(*(column.tolist() for column in roc_points(scores, labels))))
+
+
 # scores drawn mostly from a few values, so that tie groups mix both classes
 tied_samples = st.lists(
     st.tuples(
@@ -191,7 +196,7 @@ class TestAucRoc:
 
 class TestRocPoints:
     def test_curve_endpoints(self):
-        points = roc_points([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1])
+        points = roc_tuples([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1])
         assert points[0][1:] == (0.0, 0.0)  # nothing above the max score
         assert points[-1][1:] == (1.0, 1.0)
 
@@ -200,7 +205,7 @@ class TestRocPoints:
         scores = rng.normal(size=40)
         labels = rng.integers(0, 2, size=40)
         labels[:2] = [0, 1]
-        points = roc_points(scores, labels)
+        points = roc_tuples(scores, labels)
         fprs = [p[1] for p in points]
         tprs = [p[2] for p in points]
         assert fprs == sorted(fprs)
@@ -212,7 +217,7 @@ class TestSortedRocAgainstOracles:
     @settings(max_examples=150, deadline=None)
     def test_points_equal_the_per_threshold_recount(self, pairs):
         scores, labels = [s for s, _ in pairs], [y for _, y in pairs]
-        assert roc_points(scores, labels) == brute_force_roc(scores, labels)
+        assert roc_tuples(scores, labels) == brute_force_roc(scores, labels)
 
     @given(tied_samples)
     @settings(max_examples=150, deadline=None)
@@ -221,7 +226,7 @@ class TestSortedRocAgainstOracles:
         assert auc_roc(scores, labels) == brute_force_auc(scores, labels)
 
     def test_all_ties_give_one_point_and_half_auc(self):
-        assert roc_points([0.5] * 4, [0, 1, 1, 0]) == [(0.5, 0.0, 0.0), (float("-inf"), 1.0, 1.0)]
+        assert roc_tuples([0.5] * 4, [0, 1, 1, 0]) == [(0.5, 0.0, 0.0), (float("-inf"), 1.0, 1.0)]
         assert auc_roc([0.5] * 4, [0, 1, 1, 0]) == 0.5
 
     def test_one_class_and_length_mismatch_rejected(self):
