@@ -180,11 +180,11 @@ def _fit(scaled: np.ndarray, cfg: dict) -> tuple[autoencoder.ModelWeights, autoe
 
 
 def _evaluate_arrays(
-    scores: np.ndarray, counts: evaluation.ConfusionCounts, labels: np.ndarray, metadata: dict
+    scores: np.ndarray, counts: evaluation.ConfusionCounts, labels: np.ndarray, metadata: dict, roc=()
 ) -> evaluation.MetricsReport:
     report = evaluation.metrics(counts)
     if counts.tp + counts.fn and counts.tn + counts.fp:  # both classes
-        report.auc = evaluation.auc_roc(scores, labels)
+        report.auc = evaluation.auc_roc(scores, labels, roc)
     else:
         report.degenerate = report.degenerate + ("auc",)
     report.metadata = metadata
@@ -323,9 +323,9 @@ def cmd_detect(args: argparse.Namespace, cfg: dict) -> int:
 
 def _read_verdicts(path: str, size: int = ingest.PARSE_BLOCK) -> tuple[np.ndarray, np.ndarray, Counter]:
     """The score and label columns, in arrays sized from a line count, and the
-    count of each (verdict, label) pair, converted `size` rows at a time. A
-    malformed file is read again one row at a time, so that the error names the
-    line of its first bad row."""
+    count of each (verdict, label) pair, read `size` lines at a time by
+    `ingest.plain_columns`. A block it refuses sends the file to the csv module
+    one row at a time, so that the error names the line of its first bad row."""
     with ingest.open_text(path) as fh:
         lines = sum(1 for _ in fh)
     scores, labels, pairs, n = np.empty(lines), np.empty(lines, dtype=np.int8), Counter(), 0
@@ -335,11 +335,14 @@ def _read_verdicts(path: str, size: int = ingest.PARSE_BLOCK) -> tuple[np.ndarra
         if not header.keys() >= {"score", "verdict", "label"}:
             raise DataError(f"{path}: expected columns row_index,score,verdict,label")
         columns = [header["score"], header["verdict"], header["label"]]
-        while block := list(itertools.islice(reader, size)):
-            rows = list(filter(None, block))
+        while block := list(itertools.islice(fh if size > 1 else reader, size)):
             try:
-                score, verdict, label = [np.array(list(map(kind, map(itemgetter(i), rows))), dtype=kind)
-                                         for kind, i in zip((float, int, int), columns)]
+                if size > 1:
+                    score, verdict, label = ingest.plain_columns(block, columns, "f8,i8,i8")
+                else:
+                    rows = list(filter(None, block))
+                    score, verdict, label = [np.array(list(map(kind, map(itemgetter(i), rows))), dtype=kind)
+                                             for kind, i in zip((float, int, int), columns)]
             except (IndexError, ValueError, OverflowError) as exc:  # Overflow: beyond int64
                 if size > 1:
                     return _read_verdicts(path, 1)
@@ -351,8 +354,8 @@ def _read_verdicts(path: str, size: int = ingest.PARSE_BLOCK) -> tuple[np.ndarra
                     return _read_verdicts(path, 1)
                 raise DataError(f"{path}, line {reader.line_num}: non-finite score {score[0]}")
             # a label beyond int8 wraps here, but confusion() refuses it from the pairs first
-            scores[n : n + len(rows)], labels[n : n + len(rows)] = score, label
-            n += len(rows)
+            scores[n : n + len(score)], labels[n : n + len(score)] = score, label
+            n += len(score)
             pairs.update(zip(verdict.tolist(), label.tolist()))
     if not n:
         raise DataError(f"{path}: no verdict rows")
@@ -388,9 +391,11 @@ def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
         metadata["config"], times = _read_history(args.history)
         metadata.update(_epoch_timing(times))
     counts = evaluation.confusion(*zip(*pairs), list(pairs.values()))
-    report = _evaluate_arrays(scores, counts, labels, metadata)
-    # before any file is written: a ROC with one class present raises
-    points = evaluation.roc_points(scores, labels) if args.roc_points else ()
+    # one sort for the AUC and the ROC, before any file is written: one class raises
+    roc = evaluation._roc_counts(scores, labels, "ROC") if args.roc_points else ()
+    report = _evaluate_arrays(scores, counts, labels, metadata, roc)
+    points = evaluation.roc_points(scores, labels, roc) if roc else ()
+    del roc  # the counts are not held while the files are written
     evaluation.emit_report(report, args.format, args.out)
     if args.roc_points:
         with open(args.roc_points, "w", encoding="utf-8", newline="") as fh:

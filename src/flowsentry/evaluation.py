@@ -146,18 +146,19 @@ def _roc_counts(scores, labels, curve: str):
     return thresholds, fp, tp, n_neg, n_pos
 
 
-def auc_roc(scores, labels) -> float:
+def auc_roc(scores, labels, roc: tuple = ()) -> float:
     """P(random positive outscores random negative), ties half: the ROC
-    trapezoid, summed in exact integer counts."""
-    _, fp, tp, n_neg, n_pos = _roc_counts(scores, labels, "AUC")
+    trapezoid in exact integer counts, from `roc` if their `_roc_counts` are given."""
+    _, fp, tp, n_neg, n_pos = roc or _roc_counts(scores, labels, "AUC")
     u2 = int(np.dot(np.diff(fp), tp[1:] + tp[:-1]))  # twice the Mann-Whitney U
     return u2 / 2 / (n_pos * n_neg)
 
 
-def roc_points(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def roc_points(scores, labels, roc: tuple = ()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The threshold, fpr and tpr arrays of the plot points using the strict
-    score>threshold rule, one per distinct score, highest first, then (-inf, 1, 1)."""
-    thresholds, fp, tp, n_neg, n_pos = _roc_counts(scores, labels, "ROC")
+    score>threshold rule, one per distinct score, highest first, then (-inf, 1,
+    1); `roc` is as in `auc_roc`."""
+    thresholds, fp, tp, n_neg, n_pos = roc or _roc_counts(scores, labels, "ROC")
     return thresholds, fp / n_neg, tp / n_pos
 
 

@@ -39,7 +39,7 @@ BENIGN_LABEL = "BENIGN"
 
 SCALER_FILE_VERSION = 1
 
-PARSE_BLOCK = 512  # csv rows parsed or written per block: bounds the row strings held at once
+PARSE_BLOCK = 512  # csv lines parsed or rows written per block: bounds the strings held at once
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,8 @@ class FeatureSpec:
             raise ParameterError("feature list contains duplicate column names")
         if not self.label_column:
             raise ParameterError("label column name must not be empty")
+        if self.label_column in self.names:
+            raise ParameterError(f"label column {self.label_column!r} is also a feature column")
 
     @property
     def m(self) -> int:
@@ -131,7 +133,7 @@ def open_text(path: str | Path) -> Iterator[TextIO]:
 
 
 def read_blocks(path: str | Path, spec: FeatureSpec | None = None) -> Iterator[Dataset]:
-    """The rows of one flow CSV, `PARSE_BLOCK` csv rows at a time, as one
+    """The rows of one flow CSV, `PARSE_BLOCK` text lines at a time, as one
     Dataset per block (see `to_dataset`; a block may keep no row) whose `rows`
     are the 0-based source data-row indices, blank lines counted.
 
@@ -142,8 +144,7 @@ def read_blocks(path: str | Path, spec: FeatureSpec | None = None) -> Iterator[D
     """
     spec = spec or FeatureSpec()
     with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise SchemaError(f"{path}: empty file, a header row is required")
         columns = {name.strip(): idx for idx, name in enumerate(header)}
@@ -152,11 +153,10 @@ def read_blocks(path: str | Path, spec: FeatureSpec | None = None) -> Iterator[D
             raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
         wanted = [columns[c] for c in (*spec.names, spec.label_column)]
         seen = skipped = 0
-        while block := list(islice(reader, PARSE_BLOCK)):
-            part = [to_dataset(block, seen, wanted)]  # popped as it is yielded: not held here after
-            skipped += len(block) - block.count([]) - len(part[0])
-            seen += len(block)
-            del block  # the row strings are not held while the consumer uses the part
+        while lines := list(islice(fh, PARSE_BLOCK)):
+            part, read, dropped = to_dataset(lines, fh, seen, wanted)
+            seen, skipped, part = seen + read, skipped + dropped, [part]  # popped as it is yielded
+            del lines  # the line strings are not held while the consumer uses the part
             yield part.pop()
     if skipped:
         logger.warning("%s: skipped %d malformed row(s)", path, skipped)
@@ -186,28 +186,42 @@ def _float_or_nan(text: str) -> float:
         return math.nan
 
 
-def to_dataset(block: list[list[str]], first_row: int, columns: Sequence[int]) -> Dataset:
-    """The rows of one block of csv rows that have finite features.
+def plain_columns(lines: list[str], columns: Sequence[int], dtype) -> list[np.ndarray]:
+    """The `columns` cells of csv lines as one array per field of the
+    structured `dtype`, by numpy's C reader. A ValueError if a line holds a
+    quote character or is blank (numpy would split a quoted comma or skip the
+    line), or if numpy refuses a cell or a row short of a column."""
+    if '"' in "".join(lines) or any(map(lines.count, ("\n", "\r\n", "\r"))):
+        raise ValueError("a quoted cell or a blank line")
+    return np.loadtxt(lines, dtype, delimiter=",", comments=None, usecols=columns, ndmin=1, unpack=True)
+
+
+def to_dataset(lines: list[str], fh: TextIO, first_row: int, columns: list[int]) -> tuple[Dataset, int, int]:
+    """The rows with finite features of one block of text lines, the number of
+    csv rows read and how many of those that are not blank were dropped.
 
     `columns` indexes a row's feature cells, then its label cell. Blank rows
     are dropped but counted in the source indices, which start at
-    `first_row`. A short row or an unparseable cell makes the row's features
-    NaN, so it is dropped like a non-finite row.
+    `first_row`. `plain_columns` reads the block if it can. Otherwise the csv
+    module does, reading on from `fh` until a quoted cell that spans the
+    block's end is whole; there a short row or an unparseable cell makes the
+    row's features NaN, so it is dropped like a non-finite row.
     """
-    rows = first_row + np.flatnonzero(np.fromiter(map(bool, block), bool, len(block)))
-    block = list(filter(None, block))
     try:
-        *features, text = [list(map(itemgetter(i), block)) for i in columns]
-        values = list(map(float, chain.from_iterable(features)))
-    except (IndexError, ValueError):
-        width = max(columns) + 1
-        block = [row if len(row) >= width else [""] * width for row in block]
-        *features, text = [list(map(itemgetter(i), block)) for i in columns]
-        values = list(map(_float_or_nan, chain.from_iterable(features)))
-    matrix = np.array(values).reshape(len(features), len(block)).T
+        matrix, text = plain_columns(lines, columns, [("x", float, (len(columns) - 1,)), ("label", object)])
+        read, rows = len(lines), np.arange(first_row, first_row + len(lines))
+    except ValueError:
+        reader, block = csv.reader(chain(lines, fh)), []
+        while reader.line_num < len(lines):
+            block.append(next(reader))
+        read, width = len(block), max(columns) + 1
+        rows = first_row + np.flatnonzero(np.fromiter(map(bool, block), bool, read))
+        block = [row if len(row) >= width else [""] * width for row in block if row]
+        *cells, text = [list(map(itemgetter(i), block)) for i in columns]
+        matrix = np.array(list(map(_float_or_nan, chain.from_iterable(cells)))).reshape(len(cells), -1).T
     keep = np.isfinite(matrix).all(axis=1)
-    labels = map(BENIGN_LABEL.__ne__, map(str.upper, map(str.strip, text)))
-    return Dataset(matrix[keep], np.fromiter(labels, int, len(block))[keep], rows[keep])
+    labels = np.fromiter(map(BENIGN_LABEL.__ne__, map(str.upper, map(str.strip, text))), int, len(text))
+    return Dataset(matrix[keep], labels[keep], rows[keep]), read, len(text) - int(keep.sum())
 
 
 def fit_scaler(matrix: np.ndarray, feature_names: Sequence[str] = ()) -> Scaler:

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flowsentry import anomaly, autoencoder, ingest
+from flowsentry import anomaly, autoencoder, evaluation, ingest
 from flowsentry.cli import build_parser, main
 from flowsentry.windowing import WindowConfig
 
@@ -88,6 +88,14 @@ class TestPipeline:
         assert doc["metadata"]["config"]["seed"] == 11
         assert "epoch_time_mean" in doc["metadata"]
         assert roc_path.read_text().startswith("threshold,fpr,tpr")
+
+    def test_evaluate_sorts_the_scores_once_for_the_auc_and_the_roc(self, pipeline_dir, monkeypatch):
+        sorts, roc_counts = [], evaluation._roc_counts
+        monkeypatch.setattr(evaluation, "_roc_counts", lambda *args: sorts.append(args) or roc_counts(*args))
+        assert run("evaluate", "--verdicts", pipeline_dir / "verdicts.csv", "--out", pipeline_dir / "r.json",
+                   "--roc-points", pipeline_dir / "roc.csv") == 0
+        assert len(sorts) == 1
+        assert json.loads((pipeline_dir / "r.json").read_text())["auc"] is not None
 
     def test_markdown_report(self, pipeline_dir):
         out = pipeline_dir / "report.md"
@@ -474,6 +482,19 @@ class TestExitCodes:
                    "--attacks", data / "attack.csv", "--train-frac", "1.5",
                    "--out", tmp_path / "prep") == 2
 
+    @pytest.mark.parametrize("flags,label", [
+        (["--features", "Max Packet Length", "--label-col", "Max Packet Length"], "Max Packet Length"),
+        (["--features", "Label,Max Packet Length"], "Label"),
+    ], ids=["label-col-is-a-feature", "features-name-the-label"])
+    def test_a_label_column_that_is_a_feature_is_a_validation_error(self, tmp_path, capsys, flags, label):
+        data = tmp_path / "data"
+        assert run("synth", "--benign", 20, "--attack", 5, "--out", data, *FAST) == 0
+        capsys.readouterr()
+        assert run("preprocess", "--benign", data / "benign.csv", "--attacks", data / "attack.csv",
+                   *flags, "--out", tmp_path / "prep") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: label column {label!r} is also a feature column"], err
+
     def test_insufficient_rows_for_window_is_data_error(self, tmp_path):
         data = tmp_path / "data"
         assert run("synth", "--benign", 5, "--attack", 2, "--out", data, *FAST) == 0
@@ -491,8 +512,8 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {data / 'attack.csv'}: no usable benign rows"], err
 
-    @pytest.mark.parametrize("row", ["1,abc,1,1", "1,0.2", "1,nan,1,1"],
-                             ids=["non-numeric-score", "short-row", "nan-score"])
+    @pytest.mark.parametrize("row", ["1,abc,1,1", "1,0.2", "1,nan,1,1", "1,0.2,1.0,1"],
+                             ids=["non-numeric-score", "short-row", "nan-score", "float-verdict"])
     def test_malformed_verdict_row_is_a_data_error(self, tmp_path, capsys, row):
         verdicts = tmp_path / "v.csv"
         verdicts.write_text(f"row_index,score,verdict,label\n0,0.1,0,0\n{row}\n")
@@ -514,7 +535,8 @@ class TestExitCodes:
         ("1,abc,1,1", "line 4: score, verdict and label must be numbers, got ['abc', '1', '1']"),
         ("1,0.2", "line 4: score, verdict and label must be numbers, got ['0.2', None, None]"),
         ("1,inf,1,1", "line 4: non-finite score inf"),
-    ], ids=["non-numeric-score", "short-row", "inf-score"])
+        ("1,0.2,1.0,1", "line 4: score, verdict and label must be numbers, got ['0.2', '1.0', '1']"),
+    ], ids=["non-numeric-score", "short-row", "inf-score", "float-verdict"])
     def test_malformed_verdict_row_names_its_line(self, tmp_path, capsys, row, message):
         # the blank line counts: the bad row is on line 4
         verdicts = tmp_path / "v.csv"

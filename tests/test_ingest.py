@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowsentry import ingest
@@ -59,6 +59,10 @@ class TestFeatureSpec:
             FeatureSpec(names=())
         with pytest.raises(ParameterError):
             FeatureSpec(names=("A", "A"))
+
+    def test_rejects_a_label_column_that_is_a_feature_column(self):
+        with pytest.raises(ParameterError, match="label column 'A' is also a feature column"):
+            FeatureSpec(names=("A", "B"), label_column="A")
 
 
 class TestParseCsv:
@@ -189,30 +193,67 @@ CSV_ROW = st.one_of(
 )
 
 
+# Rows with no quote character, so that many blocks reach numpy's C reader. Their
+# cells include ones Python's float reads and numpy's reader may refuse; rows
+# may end before the label cell, hold only whitespace or be blank.
+PLAIN_FEATURE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["Infinity", "NaN", "abc", " 1.5 ", "1e400", "1_0", "\u0661", "\xa01.5", "+1.5"]),
+)
+PLAIN_EXTRA = st.sampled_from(["x", " ", "Infinity"])
+PLAIN_FULL_ROW = st.tuples(
+    PLAIN_EXTRA, PLAIN_FEATURE, PLAIN_EXTRA, PLAIN_FEATURE, LABEL_CELL, PLAIN_EXTRA
+).map(list)
+PLAIN_ROW = st.one_of(
+    PLAIN_FULL_ROW,
+    PLAIN_FULL_ROW,
+    PLAIN_FULL_ROW,
+    st.just([]),  # a blank line
+    st.tuples(PLAIN_FULL_ROW, st.integers(1, 5)).map(lambda r: r[0][: r[1]]),  # a short row
+)
+PLAIN = ["x", "1.5", " ", "2", "BENIGN", "x"]
+
+
+def assert_matches_the_oracle(block, rows, quoting):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "flows.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, quoting=quoting)
+            writer.writerow(HEADER)
+            writer.writerows(rows)
+        mp.setattr(ingest, "PARSE_BLOCK", block)
+        with mock.patch.object(ingest.logger, "warning") as warn:
+            ds = parse_csv(path, SPEC2)
+        matrix, labels, source_rows, skipped = oracle_parse(path, SPEC2)
+    assert ds.matrix.shape == matrix.shape and ds.matrix.tobytes() == matrix.tobytes()
+    assert ds.labels.tolist() == labels
+    assert ds.rows.tolist() == source_rows
+    if skipped:
+        warn.assert_called_once_with("%s: skipped %d malformed row(s)", path, skipped)
+    else:
+        warn.assert_not_called()
+
+
 class TestParseCsvEquivalence:
     """parse_csv, block by block, equals the row-by-row oracle at any block size."""
 
     @pytest.mark.parametrize("block", [1, 7, ingest.PARSE_BLOCK])
     @settings(max_examples=60, deadline=None)
     @given(rows=st.lists(CSV_ROW, max_size=40), quote_all=st.booleans())
+    @example(rows=[PLAIN, ["x", "1.5", "3,4,5", "2", "BENIGN", "x"]], quote_all=False)  # commas in quotes
     def test_matches_the_row_by_row_oracle(self, block, rows, quote_all):
-        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-            path = Path(tmp) / "flows.csv"
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
-                writer.writerow(HEADER)
-                writer.writerows(rows)
-            mp.setattr(ingest, "PARSE_BLOCK", block)
-            with mock.patch.object(ingest.logger, "warning") as warn:
-                ds = parse_csv(path, SPEC2)
-            matrix, labels, source_rows, skipped = oracle_parse(path, SPEC2)
-        assert ds.matrix.shape == matrix.shape and ds.matrix.tobytes() == matrix.tobytes()
-        assert ds.labels.tolist() == labels
-        assert ds.rows.tolist() == source_rows
-        if skipped:
-            warn.assert_called_once_with("%s: skipped %d malformed row(s)", path, skipped)
-        else:
-            warn.assert_not_called()
+        assert_matches_the_oracle(block, rows, csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
+
+    @pytest.mark.parametrize("block", [1, 7, ingest.PARSE_BLOCK])
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(PLAIN_ROW, max_size=40))
+    @example(rows=[PLAIN, PLAIN[:4], PLAIN])  # a row that ends after its last feature cell
+    @example(rows=[PLAIN, [" "], PLAIN])  # a whitespace-only row
+    @example(rows=[PLAIN, [], PLAIN])  # a blank line
+    @example(rows=[PLAIN, *([PLAIN[0], cell, *PLAIN[2:]] for cell in ("1_0", "\u0661", "\xa01.5", "+1.5"))])
+    @example(rows=[PLAIN, *([*PLAIN[:3], cell, *PLAIN[4:]] for cell in ("1_0", "\u0661", "\xa01.5", "+1.5"))])
+    def test_quote_free_rows_match_the_row_by_row_oracle(self, block, rows):
+        assert_matches_the_oracle(block, rows, csv.QUOTE_MINIMAL)
 
 
 class TestParseMemory:
