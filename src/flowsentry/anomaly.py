@@ -33,19 +33,18 @@ from .ingest import (
 )
 from .windowing import WindowConfig, make_windows
 
-THRESHOLD_FILE_VERSION = 2
+THRESHOLD_FILE_VERSION = 3
 
 SCORE_CHUNK = 256  # windows per forward pass in score_matrix: peak ~ (15*SCORE_CHUNK + 4*t)*u*8 bytes
 
 
 @dataclass
 class ThresholdModel:
-    """Everything needed to score new data: threshold, scaler, window, and
-    the path and sha256 of the model file it was calibrated with."""
+    """Everything needed to score new data besides the model: threshold,
+    scaler, and the path and sha256 of the model file it was calibrated with."""
 
     threshold: float
     scaler: Scaler
-    window: WindowConfig
     model_path: str
     model_sha256: str
     provenance: dict = field(default_factory=dict)
@@ -164,7 +163,6 @@ def save_threshold(tm: ThresholdModel, path: str | Path) -> None:
     doc = {
         "version": THRESHOLD_FILE_VERSION,
         "threshold": tm.threshold,
-        "window": {"timesteps": tm.window.timesteps},
         "scaler": scaler_to_doc(tm.scaler),
         "model": tm.model_path,
         "model_sha256": tm.model_sha256,
@@ -192,7 +190,6 @@ def load_threshold(path: str | Path) -> ThresholdModel:
         return ThresholdModel(
             threshold=float(doc["threshold"]),
             scaler=scaler_from_doc(doc["scaler"], path),
-            window=WindowConfig(timesteps=int(doc["window"]["timesteps"])),
             model_path=str(doc["model"]),
             model_sha256=str(doc["model_sha256"]),
             provenance=dict(doc.get("provenance", {})),

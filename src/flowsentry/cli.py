@@ -140,9 +140,8 @@ def _stream_scores(
     path: str, scaler: ingest.Scaler, label_col: str, weights: autoencoder.ModelWeights
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """Score a flow CSV block by block, in memory that does not grow with its
-    rows: yields each block's scaled matrix, then the scores, labels and
-    source row indices of the rows that block finished (see
-    anomaly.score_matrix)."""
+    rows: yields the scores, labels and source row indices of the rows each
+    block finished (see anomaly.score_matrix)."""
     window = WindowConfig(timesteps=weights.config.timesteps)
     end = ingest.Dataset(np.empty((0, scaler.m)), np.empty(0, dtype=int), np.empty(0, dtype=int))
     carry, labels, rows = anomaly.Carry(), end.labels, end.rows
@@ -156,7 +155,7 @@ def _stream_scores(
         last, ds = ds is end, None  # the parsed block is not held through the forward pass
         scores = anomaly.score_matrix(scaled, weights, window, carry, last)
         k = len(scores)
-        yield scaled, scores, labels[:k], rows[:k]
+        yield scores, labels[:k], rows[:k]
         del scaled, scores  # not held while the next block is parsed and scored
         labels, rows = labels[k:].copy(), rows[k:].copy()
     if not carry.done:
@@ -264,24 +263,19 @@ def cmd_calibrate(args: argparse.Namespace, cfg: dict) -> int:
     weights, model_sha256 = _load_model(args.model)
     scaler = ingest.load_scaler(args.scaler)
     # block by block: the maximum score (anomaly.calibrate takes the threshold
-    # from these), the row count and the sha256 of the scaled matrix's bytes
-    maxima, samples, fingerprint = [], 0, hashlib.sha256()
-    for scaled, scores, _, _ in _stream_scores(args.input, scaler, cfg["label_col"], weights):
+    # from these) and the row count
+    maxima, samples = [], 0
+    for scores, _, _ in _stream_scores(args.input, scaler, cfg["label_col"], weights):
         maxima.append(scores.max(initial=-np.inf))
-        samples += len(scaled)
-        fingerprint.update(np.ascontiguousarray(scaled))
-        del scaled, scores  # not held while the next block is parsed and scored
+        samples += len(scores)
+        del scores  # not held while the next block is parsed and scored
     tm = anomaly.ThresholdModel(
         threshold=anomaly.calibrate(np.array(maxima)),
         scaler=scaler,
-        window=WindowConfig(timesteps=weights.config.timesteps),
         # relative to the threshold file, so the pair can move together
         model_path=os.path.relpath(args.model, Path(args.out).parent),
         model_sha256=model_sha256,
-        provenance={
-            "training_fingerprint": fingerprint.hexdigest(),
-            "config": cfg,
-        },
+        provenance={"config": cfg},
     )
     anomaly.save_threshold(tm, args.out)
     print(f"calibrate: threshold {tm.threshold!r} over {samples} samples -> {args.out}")
@@ -297,9 +291,6 @@ def cmd_detect(args: argparse.Namespace, cfg: dict) -> int:
             f"{model_path} (sha256 {model_sha256[:12]}) is not the model "
             f"{args.thresholds} was calibrated with (sha256 {tm.model_sha256[:12]})"
         )
-    if tm.window.timesteps != weights.config.timesteps:
-        raise DataError(f"{args.thresholds} records window {tm.window.timesteps}, but its model "
-                        f"{model_path} has window {weights.config.timesteps}")
     # written block by block to a file beside --out that replaces it only once
     # every row is scored, so a failed run leaves no partial verdicts
     part, flagged, samples = f"{args.out}.part", 0, 0
@@ -307,12 +298,12 @@ def cmd_detect(args: argparse.Namespace, cfg: dict) -> int:
         with open(part, "w", encoding="utf-8", newline="") as fh:
             fh.write("row_index,score,verdict,label\n")
             stream = _stream_scores(args.input, tm.scaler, cfg["label_col"], weights)
-            for _, scores, labels, rows in stream:
+            for scores, labels, rows in stream:
                 verdicts = anomaly.classify(scores, tm.threshold)
                 columns = (rows, scores, verdicts, labels)
                 fh.write("".join(map("%d,%r,%d,%d\n".__mod__, zip(*(c.tolist() for c in columns)))))
                 flagged, samples = flagged + int(verdicts.sum()), samples + len(verdicts)
-                del _, scores, labels, rows, verdicts, columns  # as in calibrate
+                del scores, labels, rows, verdicts, columns  # as in calibrate
         os.replace(part, args.out)
     except BaseException:
         Path(part).unlink(missing_ok=True)

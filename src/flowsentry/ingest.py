@@ -120,7 +120,8 @@ class Dataset:
 @contextmanager
 def open_text(path: str | Path) -> Iterator[TextIO]:
     """`path` opened as UTF-8 text for the csv module. A file that cannot be
-    opened, or holds a byte that is not UTF-8, is a DataError naming it."""
+    opened, holds a byte that is not UTF-8 or a row the csv module refuses
+    (such as a cell over its field size limit) is a DataError naming it."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -130,6 +131,8 @@ def open_text(path: str | Path) -> Iterator[TextIO]:
             yield fh
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+        except csv.Error as exc:
+            raise DataError(f"{path}: not a readable CSV file ({exc})") from exc
 
 
 def read_blocks(path: str | Path, spec: FeatureSpec | None = None) -> Iterator[Dataset]:

@@ -25,10 +25,9 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericError, ParameterError, ShapeError
 
-def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function in tanh form, 0.5 * (1 + tanh(x / 2)); cannot overflow."""
-    if out is None:
-        out = np.empty(np.shape(x))
+def sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Logistic function in tanh form, 0.5 * (1 + tanh(x / 2)), written into
+    `out` (which may be `x`); cannot overflow."""
     np.multiply(x, 0.5, out=out)
     np.tanh(out, out=out)
     out += 1.0

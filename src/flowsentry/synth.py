@@ -17,23 +17,14 @@ from .errors import ParameterError
 from .ingest import Dataset, FeatureSpec, write_csv
 
 
-def _per_feature(value, m: int, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(m, float(arr))
-    if arr.shape != (m,):
-        raise ParameterError(f"{name} must be a scalar or length-{m} sequence")
-    return arr
-
-
 @dataclass
 class SynthConfig:
     n_benign: int = 2000
     n_attack: int = 500
     features: int = 5
-    amplitude: float | tuple = 1.0
-    period: float | tuple = 50.0
-    sigma: float | tuple = 0.05
+    amplitude: float = 1.0
+    period: float = 50.0
+    sigma: float = 0.05
     shift_sigmas: float = 5.0
     seed: int = 0
 
@@ -44,13 +35,10 @@ class SynthConfig:
             raise ParameterError(f"n_attack must be >= 0, got {self.n_attack}")
         if self.features < 1:
             raise ParameterError(f"features must be >= 1, got {self.features}")
-        self.amplitude = _per_feature(self.amplitude, self.features, "amplitude")
-        self.period = _per_feature(self.period, self.features, "period")
-        self.sigma = _per_feature(self.sigma, self.features, "sigma")
         for name, ok, rule in (("amplitude", self.amplitude >= 0, " and >= 0"),
                                ("sigma", self.sigma >= 0, " and >= 0"),
                                ("period", self.period > 0, " and > 0"), ("shift_sigmas", True, "")):
-            if not np.all(ok & np.isfinite(getattr(self, name))):
+            if not (ok and np.isfinite(getattr(self, name))):
                 raise ParameterError(f"{name} must be finite{rule}, got {getattr(self, name)}")
 
 

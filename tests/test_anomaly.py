@@ -210,7 +210,6 @@ def small_pipeline(tmp_path_factory):
     tm = ThresholdModel(
         threshold=calibrate(scores),
         scaler=scaler,
-        window=WindowConfig(5),
         model_path=str(model_path),
         model_sha256=hashlib.sha256(model_path.read_bytes()).hexdigest(),
     )
@@ -220,7 +219,7 @@ def small_pipeline(tmp_path_factory):
 def stream(csv_path, scaler, weights, label_col="Label"):
     """The detect stage's streamed scores, labels and source rows of a CSV, joined."""
     parts = list(cli._stream_scores(csv_path, scaler, label_col, weights))
-    return [np.concatenate([part[i] for part in parts]) for i in (1, 2, 3)]
+    return [np.concatenate([part[i] for part in parts]) for i in (0, 1, 2)]
 
 
 def detect(csv_path, tm, weights, spec):
@@ -500,10 +499,9 @@ class TestThresholdPersistence:
         return ThresholdModel(
             threshold=0.125,
             scaler=scaler,
-            window=WindowConfig(5),
             model_path="model.json",
             model_sha256="cd" * 32,
-            provenance={"training_fingerprint": "ab" * 32},
+            provenance={"config": {"label_col": "Label"}},
         )
 
     def test_round_trip(self, tmp_path):
@@ -511,11 +509,10 @@ class TestThresholdPersistence:
         save_threshold(self.tm(), path)
         loaded = load_threshold(path)
         assert loaded.threshold == 0.125
-        assert loaded.window == WindowConfig(5)
         assert loaded.scaler.feature_names == ("A", "B")
         assert loaded.model_path == "model.json"
         assert loaded.model_sha256 == "cd" * 32
-        assert loaded.provenance["training_fingerprint"] == "ab" * 32
+        assert loaded.provenance["config"] == {"label_col": "Label"}
 
     def test_created_stamp_honors_source_date_epoch(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
@@ -530,8 +527,7 @@ class TestThresholdPersistence:
         with pytest.raises(ParameterError):
             dataclasses.replace(self.tm(), threshold=threshold)
 
-    @pytest.mark.parametrize("key, value", [("threshold", float("nan")), ("threshold", -1.0),
-                                            ("window", {"timesteps": 0})])
+    @pytest.mark.parametrize("key, value", [("threshold", float("nan")), ("threshold", -1.0)])
     def test_an_out_of_range_value_in_the_file_is_a_format_error(self, tmp_path, key, value):
         path = tmp_path / "th.json"
         save_threshold(self.tm(), path)

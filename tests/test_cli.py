@@ -186,8 +186,8 @@ class TestArtifactVersions:
 
     def test_threshold_records_the_model_hash(self, pipeline_dir):
         th = json.loads((pipeline_dir / "th.json").read_text())
-        assert th["version"] == 2
-        assert th["window"] == {"timesteps": 10}
+        assert th.keys() == {"version", "threshold", "scaler", "model", "model_sha256", "provenance"}
+        assert th["version"] == 3 and th["provenance"].keys() == {"config", "created"}
         digest = hashlib.sha256((pipeline_dir / "model.json").read_bytes()).hexdigest()
         assert th["model_sha256"] == digest
 
@@ -230,28 +230,18 @@ class TestArtifactVersions:
         assert len(err) == 1 and err[0].startswith("error:") and "calibrated" in err[0], err
         assert not out.exists()
 
-    def test_detect_refuses_a_threshold_window_other_than_the_models(self, pipeline_dir, capsys):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version_1_threshold_file_is_unsupported(self, pipeline_dir, capsys, version):
+        # each as that version wrote it: v2 added the model hash, v3 dropped the window
         th = json.loads((pipeline_dir / "th.json").read_text())
-        th["window"]["timesteps"] = 3  # the model's window is 10
-        edited = pipeline_dir / "th_window3.json"
-        edited.write_text(json.dumps(th))
-        out = pipeline_dir / "window3_verdicts.csv"
-        capsys.readouterr()
-        assert run("detect", "--thresholds", edited,
-                   "--input", pipeline_dir / "prep" / "test.csv", "--out", out) == 3
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: {edited} records window 3, but its model "
-                       f"{pipeline_dir / 'model.json'} has window 10"], err
-        assert not out.exists()
-
-    def test_version_1_threshold_file_is_unsupported(self, pipeline_dir, capsys):
-        th = json.loads((pipeline_dir / "th.json").read_text())
-        th["version"] = 1
-        th["window"]["stride"] = 1
-        del th["model_sha256"]
-        old = pipeline_dir / "th_v1.json"
+        th["version"], th["window"] = version, {"timesteps": 10}
+        th["provenance"]["training_fingerprint"] = "ab" * 32
+        if version == 1:
+            th["window"]["stride"] = 1
+            del th["model_sha256"]
+        old = pipeline_dir / f"th_v{version}.json"
         old.write_text(json.dumps(th))
-        out = pipeline_dir / "v1_verdicts.csv"
+        out = pipeline_dir / f"v{version}_verdicts.csv"
         capsys.readouterr()
         assert run("detect", "--model", pipeline_dir / "model.json", "--thresholds", old,
                    "--input", pipeline_dir / "prep" / "test.csv", "--out", out) == 3
@@ -605,8 +595,7 @@ class TestOutOfRangeArtifacts:
     @pytest.mark.parametrize("edit", [
         lambda d: d.update(threshold=float("nan")),
         lambda d: d.update(threshold=-1.0),
-        lambda d: d["window"].update(timesteps=0),
-    ], ids=["nan-threshold", "negative-threshold", "zero-window"])
+    ], ids=["nan-threshold", "negative-threshold"])
     def test_detect_refuses_the_threshold_file(self, pipeline_dir, capsys, edit):
         th = edit_json(pipeline_dir / "th.json", pipeline_dir / "th_edited.json", edit)
         out = pipeline_dir / "edited_verdicts.csv"
@@ -743,15 +732,13 @@ class TestStreamingStages:
                    "--out", root / "verdicts.csv")
 
     def test_calibrate_equals_the_whole_matrix(self, scored):
-        # the threshold is the maximum whole-matrix score, the fingerprint the
-        # sha256 of the whole scaled matrix, though both were taken in blocks
+        # the threshold is the maximum whole-matrix score, though it was taken in blocks
         th = json.loads((scored / "th.json").read_text())
         weights = autoencoder.load(scored / "model.json")
         scaler = ingest.load_scaler(scored / "scaler.json")
         x = ingest.apply_scaler(ingest.parse_csv(scored / "train.csv").matrix, scaler)
         whole = anomaly.score_matrix(x, weights, WindowConfig(10))
         assert th["threshold"] == float(whole.max())
-        assert th["provenance"]["training_fingerprint"] == hashlib.sha256(x.tobytes()).hexdigest()
 
     def test_a_non_finite_value_mid_stream_leaves_no_verdicts(self, scored, capsys):
         # a scaler whose range overflows scales 1e308 to nan; the row lies
@@ -781,6 +768,16 @@ class TestStreamingStages:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {scored / 'bad.csv'}: not UTF-8"), err
         assert not (scored / "verdicts.csv").exists()
+        assert not list(scored.glob("verdicts.csv*"))
+
+    def test_an_oversized_cell_after_the_first_block_leaves_no_verdicts(self, scored, capsys):
+        lines = (scored / "test.csv").read_bytes().splitlines(keepends=True)
+        lines[150] = b'"%s",' % (b"x" * 140_000) + lines[150].split(b",", 1)[1]
+        (scored / "bad.csv").write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert self.detect(scored, "bad.csv") == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {scored / 'bad.csv'}: "), err
         assert not list(scored.glob("verdicts.csv*"))
 
     def test_a_failed_run_keeps_the_earlier_verdicts(self, scored):
@@ -850,7 +847,8 @@ class TestStreamingStages:
 
 
 class TestUnreadableText:
-    """A byte that is not UTF-8 is a data error naming the file, for every reader."""
+    """A byte that is not UTF-8, or a row the csv module refuses, is a data
+    error naming the file, for every reader."""
 
     @pytest.mark.parametrize("command", ["preprocess", "evaluate", "train", "detect"])
     def test_non_utf8_input_is_one_data_error(self, tmp_path, capsys, command):
@@ -868,6 +866,27 @@ class TestUnreadableText:
         assert run(command, *argv) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and str(bad) in err[0], err
+
+    def test_an_oversized_cell_in_a_flow_csv_is_one_data_error(self, tmp_path, capsys):
+        # a quoted cell over the csv module's 131,072-character field limit
+        data = tmp_path / "data"
+        assert run("synth", "--benign", 4, "--attack", 10, "--out", data, *FAST) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes((data / "benign.csv").read_bytes().replace(b"flow-2,", b'"%s",' % (b"x" * 140_000)))
+        capsys.readouterr()
+        assert run("preprocess", "--benign", bad, "--attacks", data / "attack.csv",
+                   "--out", tmp_path / "p") == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
+
+    def test_an_oversized_score_cell_is_one_data_error(self, tmp_path, capsys):
+        verdicts = tmp_path / "v.csv"
+        verdicts.write_text(f'row_index,score,verdict,label\n0,0.1,0,0\n1,"{"1" * 140_000}",1,1\n')
+        capsys.readouterr()
+        assert run("evaluate", "--verdicts", verdicts, "--out", tmp_path / "r.json") == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {verdicts}: "), err
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("row", ["1,0.5,99999999999999999999,1", "1,0.5,1,-99999999999999999999"],
                              ids=["verdict", "label"])

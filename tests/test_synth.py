@@ -12,10 +12,6 @@ class TestConfig:
         assert cfg.n_benign == 2000 and cfg.n_attack == 500 and cfg.features == 5
         assert cfg.shift_sigmas == 5.0
 
-    def test_scalar_params_broadcast_per_feature(self):
-        cfg = SynthConfig(features=3, sigma=0.1)
-        assert cfg.sigma.tolist() == [0.1, 0.1, 0.1]
-
     def test_rejects_bad_values(self):
         with pytest.raises(ParameterError):
             SynthConfig(n_benign=0)
@@ -36,7 +32,7 @@ class TestConfig:
         benign, attack = gen(SynthConfig(n_benign=50, n_attack=10, sigma=0.0, seed=1))
         assert np.all(np.isfinite(benign.matrix))
         # with sigma 0 the shift (in sigma units) vanishes too
-        assert attack.matrix[:, 0].std() <= SynthConfig().amplitude[0]
+        assert attack.matrix[:, 0].std() <= SynthConfig().amplitude
 
 
 class TestGen:
