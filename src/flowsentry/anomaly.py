@@ -9,7 +9,6 @@ added per decoder step, so a sample takes a chunk's windows latest first.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -19,18 +18,8 @@ import numpy as np
 
 from . import autoencoder
 from .autoencoder import ModelWeights
-from .errors import (
-    DataError,
-    ModelFormatError,
-    NumericError,
-    ParameterError,
-    ShapeError,
-)
-from .ingest import (
-    Scaler,
-    scaler_from_doc,
-    scaler_to_doc,
-)
+from .errors import DataError, ModelFormatError, NumericError, ParameterError, ShapeError
+from .ingest import Scaler, json_text, read_json, scaler_from_doc, scaler_to_doc
 from .windowing import WindowConfig, make_windows
 
 THRESHOLD_FILE_VERSION = 3
@@ -170,18 +159,11 @@ def save_threshold(tm: ThresholdModel, path: str | Path) -> None:
     }
     if "created" not in doc["provenance"]:
         doc["provenance"]["created"] = _created_stamp()
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json_text(doc), encoding="utf-8")
 
 
 def load_threshold(path: str | Path) -> ThresholdModel:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read threshold file {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ModelFormatError(f"{path}: malformed threshold file (not a JSON object)")
+    doc = read_json(path, "threshold file")
     if doc.get("version") != THRESHOLD_FILE_VERSION:
         raise ModelFormatError(
             f"{path}: unsupported threshold file version {doc.get('version')!r}"

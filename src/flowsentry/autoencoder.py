@@ -8,7 +8,6 @@ windows with mean-absolute-error loss and Adam.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import time
@@ -18,12 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DivergenceError,
-    ModelFormatError,
-    ParameterError,
-    ShapeError,
-)
+from .errors import DivergenceError, ModelFormatError, ParameterError, ShapeError
+from .ingest import json_text, read_json
 from .lstm import (
     AdamState,
     DenseParams,
@@ -299,18 +294,11 @@ def save(weights: ModelWeights, path: str | Path) -> None:
             "bias": weights.projection.bias.tolist(),
         },
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json_text(doc), encoding="utf-8")
 
 
 def load(path: str | Path) -> ModelWeights:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ModelFormatError(f"{path}: malformed model file (not a JSON object)")
+    doc = read_json(path, "model file")
     if doc.get("version") != MODEL_FILE_VERSION:
         raise ModelFormatError(f"{path}: unsupported model file version {doc.get('version')!r}")
     try:

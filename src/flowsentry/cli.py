@@ -13,7 +13,6 @@ import csv
 import functools
 import hashlib
 import itertools
-import json
 import logging
 import os
 import sys
@@ -69,16 +68,8 @@ def add_keys(p: argparse.ArgumentParser, *keys: str) -> None:
 
 def _read_config(path: str) -> dict:
     """The table keys in a JSON config file, each converted by its type."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ParameterError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ParameterError(f"{path}: a config file must hold a JSON object")
     config = {}
-    for key, value in doc.items():
+    for key, value in ingest.read_json(path, "config file", ParameterError).items():
         if key not in KEYS:
             raise ParameterError(f"{path}: unknown config key {key!r}")
         kind = KEYS[key][0]
@@ -236,17 +227,12 @@ def cmd_preprocess(args: argparse.Namespace, cfg: dict) -> int:
 def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
     scaled = _read_scaled(args.input, ingest.load_scaler(args.scaler), cfg["label_col"])
     weights, report = _fit(scaled, cfg)
-    autoencoder.save(weights, args.out)
-    if args.history:
-        history = {
-            "version": 2,
-            "config": cfg,
-            "train_loss": report.train_loss,
-            "epoch_seconds": report.epoch_seconds,
-        }
-        Path(args.history).write_text(
-            json.dumps(history, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+    with ingest.staged(args.out, args.history) as (out, history):
+        autoencoder.save(weights, out)
+        if history:
+            doc = {"version": 2, "config": cfg, "train_loss": report.train_loss,
+                   "epoch_seconds": report.epoch_seconds}
+            Path(history).write_text(ingest.json_text(doc), encoding="utf-8")
     final = report.train_loss[-1] if report.train_loss else float("nan")
     windows = len(scaled) - cfg["window"] + 1
     print(f"train: {windows} windows, {cfg['epochs']} epochs, final MAE {final:.6f} -> {args.out}")
@@ -291,23 +277,15 @@ def cmd_detect(args: argparse.Namespace, cfg: dict) -> int:
             f"{model_path} (sha256 {model_sha256[:12]}) is not the model "
             f"{args.thresholds} was calibrated with (sha256 {tm.model_sha256[:12]})"
         )
-    # written block by block to a file beside --out that replaces it only once
-    # every row is scored, so a failed run leaves no partial verdicts
-    part, flagged, samples = f"{args.out}.part", 0, 0
-    try:
-        with open(part, "w", encoding="utf-8", newline="") as fh:
-            fh.write("row_index,score,verdict,label\n")
-            stream = _stream_scores(args.input, tm.scaler, cfg["label_col"], weights)
-            for scores, labels, rows in stream:
-                verdicts = anomaly.classify(scores, tm.threshold)
-                columns = (rows, scores, verdicts, labels)
-                fh.write("".join(map("%d,%r,%d,%d\n".__mod__, zip(*(c.tolist() for c in columns)))))
-                flagged, samples = flagged + int(verdicts.sum()), samples + len(verdicts)
-                del scores, labels, rows, verdicts, columns  # as in calibrate
-        os.replace(part, args.out)
-    except BaseException:
-        Path(part).unlink(missing_ok=True)
-        raise
+    # written block by block, staged so that a failed run leaves no partial verdicts
+    flagged = samples = 0
+    with ingest.staged(args.out) as (part,), open(part, "w", encoding="utf-8", newline="") as fh:
+        fh.write("row_index,score,verdict,label\n")
+        for scores, labels, rows in _stream_scores(args.input, tm.scaler, cfg["label_col"], weights):
+            verdicts = anomaly.classify(scores, tm.threshold)
+            ingest.write_rows(fh, "%d,%r,%d,%d\n", (rows, scores, verdicts, labels))
+            flagged, samples = flagged + int(verdicts.sum()), samples + len(verdicts)
+            del scores, labels, rows, verdicts  # as in calibrate
     print(f"detect: {flagged}/{samples} sample(s) flagged -> {args.out}")
     return EXIT_OK
 
@@ -357,14 +335,7 @@ def _read_verdicts(path: str, size: int = ingest.PARSE_BLOCK) -> tuple[np.ndarra
 
 def _read_history(path: str) -> tuple[dict, list[float]]:
     """The `config` and `epoch_seconds` of a training history file, empty if absent."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read history file {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise DataError(f"{path}: not a valid history JSON file ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: a history file must hold a JSON object")
+    doc = ingest.read_json(path, "history file", DataError)
     config, times = doc.get("config", {}), doc.get("epoch_seconds", [])
     if not isinstance(config, dict):
         raise DataError(f"{path}: config must be a JSON object")
@@ -387,13 +358,12 @@ def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
     report = _evaluate_arrays(scores, counts, labels, metadata, roc)
     points = evaluation.roc_points(scores, labels, roc) if roc else ()
     del roc  # the counts are not held while the files are written
-    evaluation.emit_report(report, args.format, args.out)
-    if args.roc_points:
-        with open(args.roc_points, "w", encoding="utf-8", newline="") as fh:
-            fh.write("threshold,fpr,tpr\n")
-            for lo in range(0, len(points[0]), ingest.PARSE_BLOCK):
-                block = (c[lo : lo + ingest.PARSE_BLOCK].tolist() for c in points)
-                fh.write("".join(map("%r,%r,%r\n".__mod__, zip(*block))))
+    with ingest.staged(args.out, args.roc_points) as (out, roc_path):
+        evaluation.emit_report(report, args.format, out)
+        if roc_path:
+            with open(roc_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write("threshold,fpr,tpr\n")
+                ingest.write_rows(fh, "%r,%r,%r\n", points)
     auc_text = "n/a" if report.auc is None else f"{report.auc:.4f}"
     print(
         f"evaluate: accuracy {report.accuracy:.4f} precision {report.precision:.4f} "

@@ -10,36 +10,15 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
+from .ingest import json_text
 
 REPORT_FILE_VERSION = 1
-
-# fixed column order for CSV reports; kept stable across runs and versions
-CSV_COLUMNS = (
-    "accuracy",
-    "precision",
-    "recall",
-    "fpr",
-    "f1",
-    "auc",
-    "tp",
-    "tn",
-    "fp",
-    "fn",
-    "degenerate",
-    "window",
-    "batch_size",
-    "learning_rate",
-    "seed",
-    "epoch_time_mean",
-    "epoch_time_std",
-)
 
 
 @dataclass
@@ -176,6 +155,7 @@ def _markdown_table(report: MetricsReport) -> str:
 
 
 def _csv_row(report: MetricsReport) -> dict[str, str]:
+    """One CSV report row; its keys are the fixed header, in order."""
     meta = report.metadata
     config = meta.get("config", {})
     return {
@@ -199,21 +179,27 @@ def _csv_row(report: MetricsReport) -> dict[str, str]:
     }
 
 
+def _csv_text(reports: list[MetricsReport]) -> str:
+    """The header, then one row per report (at least one)."""
+    rows = [_csv_row(report) for report in reports]
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=rows[0], lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def render_report(report: MetricsReport, fmt: str = "json") -> str:
     if fmt == "json":
-        return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(report.to_dict())
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerow(_csv_row(report))
-        return buf.getvalue()
+        return _csv_text([report])
     if fmt == "markdown":
         return _markdown_table(report)
     raise ParameterError(f"unknown report format {fmt!r}")
 
 
-def emit_report(report: MetricsReport, fmt: str = "json", path: str | Path | None = None) -> str:
+def emit_report(report: MetricsReport, fmt: str = "json", path: str | Path | None = None) -> None:
     """Render in the requested format; write to `path` when given."""
     text = render_report(report, fmt)
     if path is not None:
@@ -221,13 +207,8 @@ def emit_report(report: MetricsReport, fmt: str = "json", path: str | Path | Non
             Path(path).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise DataError(f"cannot write report to {path}: {exc}") from exc
-    return text
 
 
 def write_sweep_csv(reports: list[MetricsReport], path: str | Path) -> None:
     """One CSV row per sweep cell, fixed header."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for report in reports:
-            writer.writerow(_csv_row(report))
+    Path(path).write_text(_csv_text(reports), encoding="utf-8", newline="")

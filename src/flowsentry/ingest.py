@@ -4,6 +4,9 @@ Consumes CSVs in the CICDDoS2019 column layout (header row, feature columns
 that may carry leading whitespace, a categorical ``Label`` column). Rows with
 unparseable or non-finite feature cells are skipped and counted rather than
 aborting the run, because the corpus is known to contain inf/NaN cells.
+
+The module also owns the artifact files: the JSON reader and writer that
+every stage uses, the CSV row writer, and the staging of a stage's outputs.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import csv
 import json
 import logging
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -324,18 +328,11 @@ def scaler_from_doc(doc, path: str | Path) -> Scaler:
 
 
 def save_scaler(scaler: Scaler, path: str | Path) -> None:
-    doc = scaler_to_doc(scaler)
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json_text(scaler_to_doc(scaler)), encoding="utf-8")
 
 
 def load_scaler(path: str | Path) -> Scaler:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read scaler file {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return scaler_from_doc(doc, path)
+    return scaler_from_doc(read_json(path, "scaler file"), path)
 
 
 def write_csv(
@@ -362,12 +359,53 @@ def write_csv(
     header.append(f" {spec.label_column}")
     # the csv module's line ending; no data cell needs quoting
     line = "flow-%d,%d," + ",".join(["%r"] * spec.m) + ",%s\r\n"
+    index, text = np.arange(len(matrix)), np.array([BENIGN_LABEL, "Synthetic"], dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        for start in range(0, len(matrix), PARSE_BLOCK):
-            block = zip(matrix[start : start + PARSE_BLOCK].tolist(),
-                        labels[start : start + PARSE_BLOCK].tolist())
-            fh.write("".join(
-                line % (i, i, *values, "Synthetic" if label else BENIGN_LABEL)
-                for i, (values, label) in enumerate(block, start)
-            ))
+        write_rows(fh, line, (index, index, *matrix.T, text[(labels != 0).astype(int)]))
+
+
+def write_rows(fh: TextIO, line: str, columns: Sequence[np.ndarray]) -> None:
+    """Write `line % row` for each row of the equal-length `columns`,
+    `PARSE_BLOCK` rows at a time."""
+    for lo in range(0, len(columns[0]), PARSE_BLOCK):
+        block = [column[lo : lo + PARSE_BLOCK].tolist() for column in columns]
+        fh.write("".join(map(line.__mod__, zip(*block))))
+
+
+def json_text(doc: dict) -> str:
+    """`doc` as every JSON artifact holds it: UTF-8 text once written, sorted
+    keys, a 2-space indent and a final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def read_json(path: str | Path, kind: str, error: type[DataError | ParameterError] = ModelFormatError) -> dict:
+    """The object in the JSON file `path`, a `kind` such as "model file". A
+    file that cannot be read is a DataError; one that is not valid JSON, or
+    holds no JSON object, is an `error`."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"cannot read {kind} {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise error(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: malformed {kind} (not a JSON object)")
+    return doc
+
+
+@contextmanager
+def staged(*paths: str | Path | None) -> Iterator[list[str | None]]:
+    """A `.part` file beside each output path (None for a None path) to write
+    the outputs to. Each replaces its output only once the block has ended and
+    every part is written, so a failed run leaves no output partial or new."""
+    parts = [path and f"{path}.part" for path in paths]
+    try:
+        yield parts
+        for part, path in zip(parts, paths):
+            if part:
+                os.replace(part, path)
+    except BaseException:
+        for part in filter(None, parts):
+            Path(part).unlink(missing_ok=True)
+        raise

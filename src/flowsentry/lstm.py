@@ -344,14 +344,14 @@ def dropout(x: np.ndarray, keep: np.ndarray | None, rate: float, out: np.ndarray
     return np.multiply(y, 1.0 / (1.0 - rate), out=y)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the moment decays and the denominator's guard
+
+
 @dataclass
 class AdamState:
     """First/second-moment accumulators congruent to the parameter vector."""
 
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -366,13 +366,16 @@ def adam_step(
     if state.m is None:
         state.m, state.v = np.zeros_like(params), np.zeros_like(params)
     state.step += 1
-    bc1 = 1.0 - state.beta1**state.step
-    bc2 = 1.0 - state.beta2**state.step
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
     m, v = state.m, state.v
-    m += (1.0 - state.beta1) * (grads - m)
-    v += (1.0 - state.beta2) * (grads * grads - v)
-    params -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m += (1.0 - ADAM_BETA1) * (grads - m)
+    v += (1.0 - ADAM_BETA2) * (grads * grads - v)
+    params -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params, state
+
+
+GRAD_CHECK_FLOOR = 1e-5  # the least denominator of grad_check's relative error
 
 
 @dataclass
@@ -395,16 +398,15 @@ def grad_check(
     step: float = 1e-5,
     samples: int = 200,
     rng: np.random.Generator | None = None,
-    floor: float = 1e-5,
 ) -> GradCheckReport:
     """Central-difference check of analytic gradients on a random subset of `params`.
 
     The closure must be deterministic (dropout disabled), read the live
     array `params`, which is perturbed in place, and return a gradient of
-    the same shape. Relative error uses max(|analytic|, |numeric|, floor)
-    as denominator; the floor keeps float64 round-off in the difference
-    quotient from dominating entries whose true gradient is near zero. A
-    non-finite analytic or numeric value counts as an infinite error.
+    the same shape. Relative error uses max(|analytic|, |numeric|,
+    GRAD_CHECK_FLOOR) as denominator; the floor keeps float64 round-off in the
+    difference quotient from dominating entries whose true gradient is near
+    zero. A non-finite analytic or numeric value counts as an infinite error.
     """
     rng = rng or np.random.default_rng(0)
     # copied: the closure may write every call's gradient into one buffer
@@ -424,7 +426,7 @@ def grad_check(
         analytic = grads.flat[i]
         # a non-finite loss or gradient fails: a NaN error would compare False below
         finite = np.isfinite((analytic, numeric)).all()
-        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor) if finite else np.inf
+        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), GRAD_CHECK_FLOOR) if finite else np.inf
         if rel > worst:
             worst, worst_index = rel, int(i)
     return GradCheckReport(worst, worst_index, k, tolerance)

@@ -897,3 +897,83 @@ class TestUnreadableText:
         assert run("evaluate", "--verdicts", verdicts, "--out", tmp_path / "r.json") == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {verdicts}, line 3: "), err
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """Flows, a scaler, a one-epoch window-5 model, its threshold file, its
+    history and verdicts: valid inputs beside the one a test breaks."""
+    root = tmp_path_factory.mktemp("small_run")
+    assert run("synth", "--benign", 60, "--attack", 10, "--seed", 4, "--out", root, *FAST) == 0
+    scaler = write_scaler(root / "scaler.json")
+    assert run("train", "--input", root / "benign.csv", "--scaler", scaler, "--window", 5, "--epochs", 1,
+               "--out", root / "model.json", "--history", root / "history.json") == 0
+    assert run("calibrate", "--model", root / "model.json", "--scaler", scaler,
+               "--input", root / "benign.csv", "--out", root / "th.json") == 0
+    assert run("detect", "--thresholds", root / "th.json", "--input", root / "benign.csv",
+               "--out", root / "verdicts.csv") == 0
+    return root
+
+
+# Each JSON input as (the kind its errors name, argv with the input at `bad` and the output at `out`).
+JSON_INPUTS = {
+    "train-scaler": ("scaler file", lambda r, bad, out: [
+        "train", "--input", r / "benign.csv", "--scaler", bad, "--window", 5, "--epochs", 1, "--out", out]),
+    "detect-model": ("model file", lambda r, bad, out: [
+        "detect", "--model", bad, "--thresholds", r / "th.json", "--input", r / "benign.csv", "--out", out]),
+    "detect-thresholds": ("threshold file", lambda r, bad, out: [
+        "detect", "--thresholds", bad, "--input", r / "benign.csv", "--out", out]),
+    "evaluate-history": ("history file", lambda r, bad, out: [
+        "evaluate", "--verdicts", r / "verdicts.csv", "--history", bad, "--out", out]),
+    "config": ("config file", lambda r, bad, out: [
+        "--config", bad, "evaluate", "--verdicts", r / "verdicts.csv", "--out", out]),
+}
+
+
+class TestJsonInputs:
+    """Every JSON input reads the same way: an unreadable file is a data
+    error (exit 3); a file that is not JSON, or holds no JSON object, is a
+    format error (exit 3), or a validation error for the config (exit 2)."""
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read {kind} {bad}: "),
+        (b'{"version": 1,', "{bad}: not valid JSON ("),
+        (b"[1, 2]\n", "{bad}: malformed {kind} (not a JSON object)"),
+    ], ids=["missing", "not-json", "list"])
+    @pytest.mark.parametrize("option", JSON_INPUTS)
+    def test_a_bad_json_input_is_one_error_line(self, small_run, tmp_path, capsys, option, content, message):
+        kind, argv = JSON_INPUTS[option]
+        bad, out = tmp_path / "bad.json", tmp_path / "out"
+        if content is not None:
+            bad.write_bytes(content)
+        capsys.readouterr()
+        code = run(*argv(small_run, bad, out))
+        assert code == (2 if option == "config" and content is not None else 3)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: " + message.format(kind=kind, bad=bad)), err
+        assert sorted(tmp_path.iterdir()) == ([bad] if content else [])
+
+
+class TestStagedOutputs:
+    """train and evaluate replace their outputs only once all of them are
+    written: a failed run leaves every earlier output as it was."""
+
+    def test_a_failed_history_leaves_the_earlier_model(self, small_run, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text("earlier")
+        capsys.readouterr()
+        assert run("train", "--input", small_run / "benign.csv", "--scaler", small_run / "scaler.json",
+                   "--window", 5, "--epochs", 1, "--out", model, "--history", tmp_path / "nodir" / "h.json") == 3
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert model.read_text() == "earlier" and list(tmp_path.iterdir()) == [model]
+
+    def test_failed_roc_points_leave_the_earlier_report(self, small_run, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text("earlier")
+        verdicts = tmp_path / "v.csv"
+        verdicts.write_text("row_index,score,verdict,label\n0,0.1,0,0\n1,0.9,1,1\n")
+        capsys.readouterr()
+        assert run("evaluate", "--verdicts", verdicts, "--out", report,
+                   "--roc-points", tmp_path / "nodir" / "roc.csv") == 3
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert report.read_text() == "earlier" and sorted(tmp_path.iterdir()) == [report, verdicts]

@@ -495,7 +495,7 @@ class TestAdam:
         g = 0.3
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
         params = np.array([0.0])
-        state = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps)
+        state = AdamState(lr=lr)
         for _ in range(2):
             adam_step(params, np.array([g]), state)
 
