@@ -200,9 +200,13 @@ def cmd_synth(args: argparse.Namespace, cfg: dict) -> int:
         shift_sigmas=args.shift,
         seed=cfg["seed"],
     )
-    benign_path, attack_path = synth.gen_csv(config, args.out, spec)
-    print(f"synth: wrote {config.n_benign} benign rows -> {benign_path}")
-    print(f"synth: wrote {config.n_attack} attack rows -> {attack_path}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    with ingest.staged(out / "benign.csv", out / "attack.csv") as parts:
+        for part, ds in zip(parts, synth.gen(config)):
+            ingest.write_csv(part, ds.matrix, ds.labels, spec)
+    print(f"synth: wrote {config.n_benign} benign rows -> {out / 'benign.csv'}")
+    print(f"synth: wrote {config.n_attack} attack rows -> {out / 'attack.csv'}")
     return EXIT_OK
 
 
@@ -210,12 +214,13 @@ def cmd_preprocess(args: argparse.Namespace, cfg: dict) -> int:
     spec = FeatureSpec(cfg["features"], cfg["label_col"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    benign = _load_labeled_rows(args.benign, spec, 0, "benign")
-    attacks = _load_labeled_rows(args.attacks, spec, 1, "attack")
-    train, test, scaler = _split(benign, attacks, spec.names, cfg)
-    ingest.write_csv(out / "train.csv", train.matrix, train.labels, spec)
-    ingest.write_csv(out / "test.csv", test.matrix, test.labels, spec)
-    ingest.save_scaler(scaler, out / "scaler.json")
+    with ingest.staged(out / "train.csv", out / "test.csv", out / "scaler.json") as parts:
+        benign = _load_labeled_rows(args.benign, spec, 0, "benign")
+        attacks = _load_labeled_rows(args.attacks, spec, 1, "attack")
+        train, test, scaler = _split(benign, attacks, spec.names, cfg)
+        ingest.write_csv(parts[0], train.matrix, train.labels, spec)
+        ingest.write_csv(parts[1], test.matrix, test.labels, spec)
+        ingest.save_scaler(scaler, parts[2])
     sampled = int(np.sum(test.labels == 1))
     print(
         f"preprocess: {train.n} train benign, {test.n - sampled} held-out benign, "
@@ -225,9 +230,9 @@ def cmd_preprocess(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
-    scaled = _read_scaled(args.input, ingest.load_scaler(args.scaler), cfg["label_col"])
-    weights, report = _fit(scaled, cfg)
     with ingest.staged(args.out, args.history) as (out, history):
+        scaled = _read_scaled(args.input, ingest.load_scaler(args.scaler), cfg["label_col"])
+        weights, report = _fit(scaled, cfg)
         autoencoder.save(weights, out)
         if history:
             doc = {"version": 2, "config": cfg, "train_loss": report.train_loss,
@@ -246,40 +251,41 @@ def _load_model(path: str) -> tuple[autoencoder.ModelWeights, str]:
 
 
 def cmd_calibrate(args: argparse.Namespace, cfg: dict) -> int:
-    weights, model_sha256 = _load_model(args.model)
-    scaler = ingest.load_scaler(args.scaler)
-    # block by block: the maximum score (anomaly.calibrate takes the threshold
-    # from these) and the row count
-    maxima, samples = [], 0
-    for scores, _, _ in _stream_scores(args.input, scaler, cfg["label_col"], weights):
-        maxima.append(scores.max(initial=-np.inf))
-        samples += len(scores)
-        del scores  # not held while the next block is parsed and scored
-    tm = anomaly.ThresholdModel(
-        threshold=anomaly.calibrate(np.array(maxima)),
-        scaler=scaler,
-        # relative to the threshold file, so the pair can move together
-        model_path=os.path.relpath(args.model, Path(args.out).parent),
-        model_sha256=model_sha256,
-        provenance={"config": cfg},
-    )
-    anomaly.save_threshold(tm, args.out)
+    with ingest.staged(args.out) as (out,):
+        weights, model_sha256 = _load_model(args.model)
+        scaler = ingest.load_scaler(args.scaler)
+        # block by block: the maximum score (anomaly.calibrate takes the threshold
+        # from these) and the row count
+        maxima, samples = [], 0
+        for scores, _, _ in _stream_scores(args.input, scaler, cfg["label_col"], weights):
+            maxima.append(scores.max(initial=-np.inf))
+            samples += len(scores)
+            del scores  # not held while the next block is parsed and scored
+        tm = anomaly.ThresholdModel(
+            threshold=anomaly.calibrate(np.array(maxima)),
+            scaler=scaler,
+            # relative to the threshold file, so the pair can move together
+            model_path=os.path.relpath(args.model, Path(args.out).parent),
+            model_sha256=model_sha256,
+            provenance={"config": cfg},
+        )
+        anomaly.save_threshold(tm, out)
     print(f"calibrate: threshold {tm.threshold!r} over {samples} samples -> {args.out}")
     return EXIT_OK
 
 
 def cmd_detect(args: argparse.Namespace, cfg: dict) -> int:
-    tm = anomaly.load_threshold(args.thresholds)
-    model_path = args.model or Path(args.thresholds).parent / tm.model_path
-    weights, model_sha256 = _load_model(model_path)
-    if model_sha256 != tm.model_sha256:
-        raise DataError(
-            f"{model_path} (sha256 {model_sha256[:12]}) is not the model "
-            f"{args.thresholds} was calibrated with (sha256 {tm.model_sha256[:12]})"
-        )
-    # written block by block, staged so that a failed run leaves no partial verdicts
-    flagged = samples = 0
+    # written block by block; staged, so a failed run leaves no partial verdicts
     with ingest.staged(args.out) as (part,), open(part, "w", encoding="utf-8", newline="") as fh:
+        tm = anomaly.load_threshold(args.thresholds)
+        model_path = args.model or Path(args.thresholds).parent / tm.model_path
+        weights, model_sha256 = _load_model(model_path)
+        if model_sha256 != tm.model_sha256:
+            raise DataError(
+                f"{model_path} (sha256 {model_sha256[:12]}) is not the model "
+                f"{args.thresholds} was calibrated with (sha256 {tm.model_sha256[:12]})"
+            )
+        flagged = samples = 0
         fh.write("row_index,score,verdict,label\n")
         for scores, labels, rows in _stream_scores(args.input, tm.scaler, cfg["label_col"], weights):
             verdicts = anomaly.classify(scores, tm.threshold)
@@ -347,19 +353,19 @@ def _read_history(path: str) -> tuple[dict, list[float]]:
 
 
 def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
-    scores, labels, pairs = _read_verdicts(args.verdicts)
-    metadata: dict = {"verdicts": str(args.verdicts)}
-    if args.history:
-        metadata["config"], times = _read_history(args.history)
-        metadata.update(_epoch_timing(times))
-    counts = evaluation.confusion(*zip(*pairs), list(pairs.values()))
-    # one sort for the AUC and the ROC, before any file is written: one class raises
-    roc = evaluation._roc_counts(scores, labels, "ROC") if args.roc_points else ()
-    report = _evaluate_arrays(scores, counts, labels, metadata, roc)
-    points = evaluation.roc_points(scores, labels, roc) if roc else ()
-    del roc  # the counts are not held while the files are written
     with ingest.staged(args.out, args.roc_points) as (out, roc_path):
-        evaluation.emit_report(report, args.format, out)
+        scores, labels, pairs = _read_verdicts(args.verdicts)
+        metadata: dict = {"verdicts": str(args.verdicts)}
+        if args.history:
+            metadata["config"], times = _read_history(args.history)
+            metadata.update(_epoch_timing(times))
+        counts = evaluation.confusion(*zip(*pairs), list(pairs.values()))
+        # one sort for the AUC and the ROC, before any part is written: one class raises
+        roc = evaluation._roc_counts(scores, labels, "ROC") if args.roc_points else ()
+        report = _evaluate_arrays(scores, counts, labels, metadata, roc)
+        points = evaluation.roc_points(scores, labels, roc) if roc else ()
+        del roc  # the counts are not held while the files are written
+        Path(out).write_text(evaluation.render_report(report, args.format), encoding="utf-8")
         if roc_path:
             with open(roc_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write("threshold,fpr,tpr\n")
@@ -374,24 +380,25 @@ def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
 
 def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     spec = FeatureSpec(cfg["features"], cfg["label_col"])
-    benign = _load_labeled_rows(args.benign, spec, 0, "benign")
-    attacks = _load_labeled_rows(args.attacks, spec, 1, "attack")
-    train, test, scaler = _split(benign, attacks, spec.names, cfg)
-    scaled_train = ingest.apply_scaler(train.matrix, scaler)
-    scaled_test = ingest.apply_scaler(test.matrix, scaler)
-    reports = []
-    for window, batch, lr in itertools.product(args.windows, args.batches, args.lrs):
-        cell = dict(cfg, window=window, batch=batch, lr=lr)
-        logger.info("sweep cell: window=%d batch=%d lr=%g", window, batch, lr)
-        weights, fit = _fit(scaled_train, cell)
-        # the staged calibrate and detect, each on its whole matrix as one block
-        train_scores = anomaly.score_matrix(scaled_train, weights, WindowConfig(window))
-        threshold = anomaly.calibrate(train_scores)
-        scores = anomaly.score_matrix(scaled_test, weights, WindowConfig(window))
-        counts = evaluation.confusion(anomaly.classify(scores, threshold), test.labels)
-        metadata = {"config": cell, "threshold": threshold, **_epoch_timing(fit.epoch_seconds)}
-        reports.append(_evaluate_arrays(scores, counts, test.labels, metadata))
-    evaluation.write_sweep_csv(reports, args.out)
+    with ingest.staged(args.out) as (out,):
+        benign = _load_labeled_rows(args.benign, spec, 0, "benign")
+        attacks = _load_labeled_rows(args.attacks, spec, 1, "attack")
+        train, test, scaler = _split(benign, attacks, spec.names, cfg)
+        scaled_train = ingest.apply_scaler(train.matrix, scaler)
+        scaled_test = ingest.apply_scaler(test.matrix, scaler)
+        reports = []
+        for window, batch, lr in itertools.product(args.windows, args.batches, args.lrs):
+            cell = dict(cfg, window=window, batch=batch, lr=lr)
+            logger.info("sweep cell: window=%d batch=%d lr=%g", window, batch, lr)
+            weights, fit = _fit(scaled_train, cell)
+            # the staged calibrate and detect, each on its whole matrix as one block
+            train_scores = anomaly.score_matrix(scaled_train, weights, WindowConfig(window))
+            threshold = anomaly.calibrate(train_scores)
+            scores = anomaly.score_matrix(scaled_test, weights, WindowConfig(window))
+            counts = evaluation.confusion(anomaly.classify(scores, threshold), test.labels)
+            metadata = {"config": cell, "threshold": threshold, **_epoch_timing(fit.epoch_seconds)}
+            reports.append(_evaluate_arrays(scores, counts, test.labels, metadata))
+        evaluation.write_sweep_csv(reports, out)
     print(f"sweep: {len(reports)} cell(s) -> {args.out}")
     return EXIT_OK
 

@@ -199,16 +199,6 @@ def render_report(report: MetricsReport, fmt: str = "json") -> str:
     raise ParameterError(f"unknown report format {fmt!r}")
 
 
-def emit_report(report: MetricsReport, fmt: str = "json", path: str | Path | None = None) -> None:
-    """Render in the requested format; write to `path` when given."""
-    text = render_report(report, fmt)
-    if path is not None:
-        try:
-            Path(path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot write report to {path}: {exc}") from exc
-
-
 def write_sweep_csv(reports: list[MetricsReport], path: str | Path) -> None:
     """One CSV row per sweep cell, fixed header."""
     Path(path).write_text(_csv_text(reports), encoding="utf-8", newline="")

@@ -12,6 +12,7 @@ every stage uses, the CSV row writer, and the staging of a stage's outputs.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import logging
 import math
@@ -144,7 +145,8 @@ def read_blocks(path: str | Path, spec: FeatureSpec | None = None) -> Iterator[D
     Dataset per block (see `to_dataset`; a block may keep no row) whose `rows`
     are the 0-based source data-row indices, blank lines counted.
 
-    Header names are matched after stripping surrounding whitespace. A label
+    Header names are matched after stripping surrounding whitespace; a feature
+    or label column named twice is refused, other columns may repeat. A label
     equal to "BENIGN" (case-insensitive) encodes to 0, everything else to 1.
     Rows whose feature cells fail to parse or parse to non-finite values are
     skipped; the skip count is logged once the file has been read.
@@ -154,11 +156,12 @@ def read_blocks(path: str | Path, spec: FeatureSpec | None = None) -> Iterator[D
         header = next(csv.reader(fh), None)
         if header is None:
             raise SchemaError(f"{path}: empty file, a header row is required")
-        columns = {name.strip(): idx for idx, name in enumerate(header)}
-        missing = [c for c in (*spec.names, spec.label_column) if c not in columns]
-        if missing:
+        names, needed = [name.strip() for name in header], (*spec.names, spec.label_column)
+        if missing := [c for c in needed if c not in names]:
             raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
-        wanted = [columns[c] for c in (*spec.names, spec.label_column)]
+        if twice := [c for c in needed if names.count(c) > 1]:
+            raise SchemaError(f"{path}: column(s) named more than once: {', '.join(twice)}")
+        wanted = list(map(names.index, needed))
         seen = skipped = 0
         while lines := list(islice(fh, PARSE_BLOCK)):
             part, read, dropped = to_dataset(lines, fh, seen, wanted)
@@ -397,15 +400,27 @@ def read_json(path: str | Path, kind: str, error: type[DataError | ParameterErro
 @contextmanager
 def staged(*paths: str | Path | None) -> Iterator[list[str | None]]:
     """A `.part` file beside each output path (None for a None path) to write
-    the outputs to. Each replaces its output only once the block has ended and
-    every part is written, so a failed run leaves no output partial or new."""
+    the outputs to. Every part is created on entry, so an output that cannot be
+    written, or two that name one file, fail the stage before its work. Each
+    part replaces its output only once the block has ended and every part is
+    written, so a failed run leaves no output partial or new."""
     parts = [path and f"{path}.part" for path in paths]
+    outputs = [(path, part) for path, part in zip(paths, parts) if part]
+    real = [os.path.realpath(path) for path, _ in outputs]
+    if twice := [str(path) for (path, _), name in zip(outputs, real) if real.count(name) > 1]:
+        raise ParameterError(f"outputs {' and '.join(twice)} name one file")
     try:
+        for path, part in outputs:
+            try:
+                if os.path.isdir(path):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                open(part, "w").close()
+            except OSError as exc:
+                raise DataError(f"cannot write {path}: {exc.strerror}") from exc
         yield parts
-        for part, path in zip(parts, paths):
-            if part:
-                os.replace(part, path)
+        for path, part in outputs:
+            os.replace(part, path)
     except BaseException:
-        for part in filter(None, parts):
+        for _, part in outputs:
             Path(part).unlink(missing_ok=True)
         raise

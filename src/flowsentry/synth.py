@@ -3,18 +3,18 @@
 Benign rows follow a per-feature sinusoid-plus-Gaussian-noise process (so
 the recurrent model has real temporal structure to learn); attack rows
 follow the same process with every feature shifted by a configurable
-multiple of the noise sigma. Output CSVs use the CICDDoS2019 column layout.
+multiple of the noise sigma. The `synth` stage writes them with
+`ingest.write_csv`, in the CICDDoS2019 column layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ParameterError
-from .ingest import Dataset, FeatureSpec, write_csv
+from .ingest import Dataset
 
 
 @dataclass
@@ -64,22 +64,3 @@ def gen(config: SynthConfig) -> tuple[Dataset, Dataset]:
         Dataset(benign, np.zeros(config.n_benign, dtype=int)),
         Dataset(attack, np.ones(config.n_attack, dtype=int)),
     )
-
-
-def gen_csv(
-    config: SynthConfig, out_dir: str | Path, spec: FeatureSpec | None = None
-) -> tuple[Path, Path]:
-    """Write benign.csv / attack.csv under out_dir; returns both paths."""
-    spec = spec or FeatureSpec()
-    if config.features != spec.m:
-        raise ParameterError(
-            f"config has {config.features} feature(s) but the feature spec names {spec.m}"
-        )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    benign, attack = gen(config)
-    benign_path = out / "benign.csv"
-    attack_path = out / "attack.csv"
-    write_csv(benign_path, benign.matrix, benign.labels, spec)
-    write_csv(attack_path, attack.matrix, attack.labels, spec)
-    return benign_path, attack_path

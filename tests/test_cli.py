@@ -1,13 +1,15 @@
 import csv
 import hashlib
 import json
+import math
 import shutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowsentry import anomaly, autoencoder, evaluation, ingest
+from flowsentry import anomaly, autoencoder, cli, evaluation, ingest
 from flowsentry.cli import build_parser, main
 from flowsentry.windowing import WindowConfig
 
@@ -977,3 +979,136 @@ class TestStagedOutputs:
                    "--roc-points", tmp_path / "nodir" / "roc.csv") == 3
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert report.read_text() == "earlier" and sorted(tmp_path.iterdir()) == [report, verdicts]
+
+
+def refuse(*args, **kwargs):
+    pytest.fail("the stage started its work before it checked its outputs")
+
+
+class TestOutputsCheckedFirst:
+    """Every stage creates its staged outputs before its work: an output that
+    cannot be written, or two outputs that name one file, fail the stage at
+    once, and no output is left new or partial."""
+
+    @pytest.mark.parametrize("stage", ["train", "calibrate", "sweep"])
+    def test_an_output_in_a_missing_directory_fails_before_the_work(
+        self, small_run, tmp_path, capsys, monkeypatch, stage
+    ):
+        # these once failed only after all their work, naming the .part file
+        monkeypatch.setattr(cli, "_fit", refuse)
+        monkeypatch.setattr(cli, "_stream_scores", refuse)
+        r, out = small_run, tmp_path / "nodir" / "out"
+        argv = {
+            "train": ["--input", r / "benign.csv", "--scaler", r / "scaler.json", "--window", 5, "--epochs", 1],
+            "calibrate": ["--model", r / "model.json", "--scaler", r / "scaler.json", "--input", r / "benign.csv"],
+            "sweep": ["--benign", r / "benign.csv", "--attacks", r / "attack.csv", "--windows", 5,
+                      "--batches", 8, "--lrs", 0.01, "--epochs", 1],
+        }[stage]
+        capsys.readouterr()
+        assert run(stage, *argv, "--out", out) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: cannot write {out}: No such file or directory"], err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_synth_whose_second_output_is_a_directory_writes_no_first(self, tmp_path, capsys):
+        (tmp_path / "attack.csv").mkdir()
+        capsys.readouterr()
+        assert run("synth", "--benign", 20, "--attack", 5, "--out", tmp_path) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: cannot write {tmp_path / 'attack.csv'}: Is a directory"], err
+        assert list(tmp_path.iterdir()) == [tmp_path / "attack.csv"]
+
+    def test_preprocess_whose_second_output_is_a_directory_writes_no_first(
+        self, small_run, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "_split", refuse)
+        (tmp_path / "test.csv").mkdir()
+        capsys.readouterr()
+        assert run("preprocess", "--benign", small_run / "benign.csv", "--attacks", small_run / "attack.csv",
+                   "--out", tmp_path) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: cannot write {tmp_path / 'test.csv'}: Is a directory"], err
+        assert list(tmp_path.iterdir()) == [tmp_path / "test.csv"]
+
+    def test_train_refuses_one_file_for_the_model_and_the_history(self, small_run, tmp_path, capsys, monkeypatch):
+        # this once left the history in model.json, which calibrate then refused
+        monkeypatch.setattr(cli, "_fit", refuse)
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run("train", "--input", small_run / "benign.csv", "--scaler", small_run / "scaler.json",
+                   "--out", model, "--history", model) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: outputs {model} and {model} name one file"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_evaluate_refuses_one_file_for_the_report_and_the_roc(self, small_run, tmp_path, capsys):
+        # this once left the ROC points in the report file
+        report, roc = f"{tmp_path}/r.json", f"{tmp_path}/./r.json"
+        capsys.readouterr()
+        assert run("evaluate", "--verdicts", small_run / "verdicts.csv", "--out", report, "--roc-points", roc) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: outputs {report} and {roc} name one file"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("stage", ["calibrate", "detect"])
+    def test_a_failure_after_the_first_block_leaves_no_output(self, small_run, tmp_path, capsys, monkeypatch, stage):
+        data = tmp_path / "data"
+        assert run("synth", "--benign", 800, "--attack", 1, "--seed", 4, "--out", data, *FAST) == 0
+        lines = (data / "benign.csv").read_bytes().splitlines(keepends=True)
+        lines[701] = lines[701].replace(b"flow-700,", b"flow-\xff700,")  # data row 700, in the second block
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"".join(lines))
+        blocks, stream = [], cli._stream_scores
+        monkeypatch.setattr(cli, "_stream_scores", lambda *a: (blocks.append(s) or s for s in stream(*a)))
+        out = tmp_path / {"calibrate": "th.json", "detect": "verdicts.csv"}[stage]
+        argv = {
+            "calibrate": ["--model", small_run / "model.json", "--scaler", small_run / "scaler.json"],
+            "detect": ["--thresholds", small_run / "th.json"],
+        }[stage]
+        capsys.readouterr()
+        assert run(stage, *argv, "--input", bad, "--out", out) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: not UTF-8 text"), err
+        assert blocks and sum(len(scores) for scores, _, _ in blocks) < 700  # it failed after the first block
+        assert sorted(tmp_path.iterdir()) == [bad, data]
+
+
+FLOWS = Path(__file__).parent / "data" / "cicflowmeter_flows.csv"
+
+
+class TestCicFlowMeterLayout:
+    """A hand-written file in the corpus's layout: leading-space headers,
+    Infinity and NaN cells, columns no stage reads (one of them, Fwd Header
+    Length, named twice), benign and DrDoS_DNS rows."""
+
+    def test_preprocess_skips_exactly_the_non_finite_rows(self, tmp_path, caplog):
+        with open(FLOWS, newline="") as fh:
+            reader = csv.reader(fh)
+            header = [name.strip() for name in next(reader)]
+            columns = [header.index(name) for name in ingest.DEFAULT_FEATURES]
+            rows = [([float(row[i]) for i in columns], int(row[header.index("Label")] != "BENIGN"))
+                    for row in reader]
+        finite = sorted(row for row in rows if all(map(math.isfinite, row[0])))
+        assert len(rows) - len(finite) == 3  # Infinity and NaN in unread columns do not count
+        prep = tmp_path / "prep"
+        with caplog.at_level("WARNING"):
+            assert run("preprocess", "--benign", FLOWS, "--attacks", FLOWS, "--attack-frac", 1.0, "--out", prep) == 0
+        assert caplog.text.count(f"{FLOWS}: skipped 3 malformed row(s)") == 2  # read as benign and as attacks
+        written = [ingest.parse_csv(prep / name) for name in ("train.csv", "test.csv")]
+        assert sorted((row, label) for ds in written
+                      for row, label in zip(ds.matrix.tolist(), ds.labels.tolist())) == finite
+
+    @pytest.mark.parametrize("header, named", [
+        (" Average Packet Size, Fwd Header Length,", " Average Packet Size, Max Packet Length,"),
+        (" Inbound, Label", " Label, Label"),
+    ], ids=["feature", "label"])
+    def test_a_wanted_column_named_twice_is_refused(self, tmp_path, capsys, header, named):
+        # the last of the two columns was once read, silently
+        text = FLOWS.read_text()
+        assert text.count(header) == 1
+        bad = tmp_path / "flows.csv"
+        bad.write_text(text.replace(header, named))
+        name = named.split(",")[1].strip()
+        capsys.readouterr()
+        assert run("preprocess", "--benign", bad, "--attacks", FLOWS, "--out", tmp_path / "prep") == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {bad}: column(s) named more than once: {name}"], err
+        assert list((tmp_path / "prep").iterdir()) == []

@@ -12,7 +12,6 @@ from flowsentry.evaluation import (
     MetricsReport,
     auc_roc,
     confusion,
-    emit_report,
     metrics,
     render_report,
     roc_points,
@@ -244,12 +243,10 @@ def sample_report():
     return r
 
 
-class TestEmitReport:
-    def test_json_round_trip(self, tmp_path):
+class TestRenderReport:
+    def test_json_round_trip(self):
         report = sample_report()
-        path = tmp_path / "report.json"
-        emit_report(report, "json", path)
-        loaded = json.loads(path.read_text(encoding="utf-8"))
+        loaded = json.loads(render_report(report, "json"))
         assert loaded == report.to_dict()
         assert loaded["counts"] == {"tp": 9430, "tn": 9999, "fp": 1, "fn": 570}
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from flowsentry.errors import ParameterError
-from flowsentry.ingest import FeatureSpec, parse_csv
-from flowsentry.synth import SynthConfig, gen, gen_csv
+from flowsentry.errors import ParameterError, ShapeError
+from flowsentry.ingest import FeatureSpec, parse_csv, write_csv
+from flowsentry.synth import SynthConfig, gen
 
 
 class TestConfig:
@@ -72,19 +72,25 @@ class TestGen:
         assert np.max(excess) <= 0.0
 
 
-class TestGenCsv:
+def write_flows(cfg, out_dir, spec=None):
+    """benign.csv and attack.csv of `gen(cfg)` under `out_dir`, as the synth stage writes them."""
+    out_dir.mkdir(exist_ok=True)
+    paths = out_dir / "benign.csv", out_dir / "attack.csv"
+    for path, ds in zip(paths, gen(cfg)):
+        write_csv(path, ds.matrix, ds.labels, spec)
+    return paths
+
+
+class TestSynthCsv:
     def test_same_seed_identical_bytes(self, tmp_path):
         cfg = SynthConfig(n_benign=100, n_attack=20, seed=7)
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        gen_csv(cfg, a)
-        gen_csv(cfg, b)
-        assert (a / "benign.csv").read_bytes() == (b / "benign.csv").read_bytes()
-        assert (a / "attack.csv").read_bytes() == (b / "attack.csv").read_bytes()
+        a = write_flows(cfg, tmp_path / "a")
+        b = write_flows(cfg, tmp_path / "b")
+        assert [p.read_bytes() for p in a] == [p.read_bytes() for p in b]
 
     def test_output_parses_with_zero_skipped_rows(self, tmp_path, caplog):
         cfg = SynthConfig(n_benign=200, n_attack=50, seed=8)
-        benign_path, attack_path = gen_csv(cfg, tmp_path)
+        benign_path, attack_path = write_flows(cfg, tmp_path)
         with caplog.at_level("WARNING"):
             benign = parse_csv(benign_path)
             attack = parse_csv(attack_path)
@@ -94,5 +100,5 @@ class TestGenCsv:
         assert attack.labels.tolist() == [1] * 50
 
     def test_feature_count_must_match_spec(self, tmp_path):
-        with pytest.raises(ParameterError):
-            gen_csv(SynthConfig(features=3), tmp_path, FeatureSpec())
+        with pytest.raises(ShapeError):
+            write_flows(SynthConfig(features=3), tmp_path, FeatureSpec())
