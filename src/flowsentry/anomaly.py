@@ -43,23 +43,16 @@ class ThresholdModel:
             raise ParameterError(f"threshold must be a finite number >= 0, got {self.threshold}")
 
 
-def per_sample_errors(x: np.ndarray, recon: np.ndarray, start: int, sums: np.ndarray) -> None:
-    """Add the errors of windows start..start+c-1 into the running (n, m) `sums`:
-    sums[i][j] gathers |recon[k][i-k][j] - x[i][j]| over every window k that
-    holds sample i, in ascending k; score_matrix divides by their count and averages
-    the features, and passes each decoder step j as windows of length 1 from start + j.
-    """
-    x = np.asarray(x, dtype=float)
-    recon = np.asarray(recon, dtype=float)
-    if x.ndim != 2 or recon.ndim != 3:
-        raise ShapeError(f"need a 2-D source and 3-D windows, got {x.ndim}-D and {recon.ndim}-D")
-    (n, m), (c, t, mb) = x.shape, recon.shape
-    if mb != m or start < 0 or start + c > n - t + 1 or sums.shape != x.shape:
-        raise ShapeError(f"windows {start}.. of shape {recon.shape} do not fit a {n}x{m} matrix")
-    # taking the offsets in reverse adds each sample's windows in ascending order
-    for o in range(t - 1, -1, -1):
-        lo = start + o
-        sums[lo : lo + c] += np.abs(recon[:, o] - x[lo : lo + c])
+def per_sample_errors(x: np.ndarray, y: np.ndarray, lo: int, sums: np.ndarray) -> None:
+    """Add one decoder step's errors into the running (n, m) `sums`: sums[lo + k] +=
+    |y[k] - x[lo + k]| for each of the (c, m) outputs `y`, which this writes over.
+    score_matrix passes step j of windows start.. at lo = start + j, divides each
+    sample's sums by the count of windows holding it and averages the features."""
+    c = len(y)
+    if x.ndim != 2 or sums.shape != x.shape or y.shape != (c, x.shape[1]) or not 0 <= lo <= len(x) - c:
+        raise ShapeError(f"outputs of shape {y.shape} at row {lo} do not fit a {x.shape} matrix")
+    np.subtract(y, x[lo : lo + c], out=y)
+    sums[lo : lo + c] += np.abs(y, out=y)
 
 
 def calibrate(training_scores: np.ndarray) -> float:
@@ -129,9 +122,9 @@ def _score_block(
         for start in range(0, end, SCORE_CHUNK):
             # no chunk's (t, c, m) reconstruction is held, only one step's (c, m)
             def add_errors(j, y, start=start):
-                per_sample_errors(x, y[:, None], start + j, sums)
+                per_sample_errors(x, y, start + j, sums)
 
-            autoencoder.forward(weights, windows[start : start + SCORE_CHUNK], on_step=add_errors)
+            autoencoder.forward(weights, windows[start : start + SCORE_CHUNK], add_errors)
     k = len(x) if last else end  # the rows no later window holds
     # windows holding stream row i: at least t rows follow every row finished before the end
     i, n = np.arange(carry.done, carry.done + k), carry.done + len(x)
@@ -163,7 +156,7 @@ def save_threshold(tm: ThresholdModel, path: str | Path) -> None:
 
 
 def load_threshold(path: str | Path) -> ThresholdModel:
-    doc = read_json(path, "threshold file")
+    doc = read_json(path, "threshold file")[0]
     if doc.get("version") != THRESHOLD_FILE_VERSION:
         raise ModelFormatError(
             f"{path}: unsupported threshold file version {doc.get('version')!r}"

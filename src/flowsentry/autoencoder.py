@@ -8,6 +8,7 @@ windows with mean-absolute-error loss and Adam.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 import time
@@ -135,20 +136,16 @@ def build(config: ModelConfig) -> ModelWeights:
     return ModelWeights.from_parts(encoder, decoder, projection, config)
 
 
-def _forward(weights: ModelWeights, x: np.ndarray, mode: str, rng, keep_cache: bool, on_step=None):
+def _forward(weights: ModelWeights, x: np.ndarray, rng=None, on_step=None):
+    """The reconstruction and backward caches of a window batch, with dropout when `rng`
+    draws its masks; with `on_step`, neither: see `forward`."""
     cfg = weights.config
     if x.ndim != 3 or x.shape[1:] != (cfg.timesteps, cfg.features):
         raise ShapeError(
             f"window batch has shape {x.shape}, model expects "
             f"(windows, {cfg.timesteps}, {cfg.features})"
         )
-    if mode not in ("train", "infer"):
-        raise ParameterError(f"mode must be 'train' or 'infer', got {mode!r}")
-    training = mode == "train" and cfg.dropout > 0
-    if training and rng is None:
-        raise ParameterError("train-mode forward with dropout requires an rng")
-    if training and on_step is not None:
-        raise ParameterError("a per-step forward applies no dropout; use mode='infer'")
+    training, keep_cache = rng is not None and cfg.dropout > 0, on_step is None
 
     # both layers' caches in one allocation: a block that large stays in the
     # allocator's heap from one training step to the next, where blocks of a
@@ -178,7 +175,7 @@ def _forward(weights: ModelWeights, x: np.ndarray, mode: str, rng, keep_cache: b
         weights.decoder, repeated, True, keep_cache=keep_cache, store=store[size:], on_step=step
     )
     if on_step is not None:
-        return None, None
+        return
     dec_mask = dropout_mask(decoded.shape, cfg.dropout, rng) if training else None
     if step is None:  # dropout, or one window: the (b, t, u) states are projected in one product
         dropout(decoded, dec_mask, cfg.dropout, out=decoded)  # over the decoder's own states
@@ -187,31 +184,23 @@ def _forward(weights: ModelWeights, x: np.ndarray, mode: str, rng, keep_cache: b
 
 
 def forward(
-    weights: ModelWeights,
-    windows: np.ndarray,
-    mode: str = "infer",
-    rng: np.random.Generator | None = None,
-    on_step: Callable[[int, np.ndarray], None] | None = None,
-) -> np.ndarray | None:
-    """Reconstruct every window; output shape equals input shape (w, t, m). With `on_step`,
-    return None and hand step j's outputs (w, m) to on_step(j, y) in a buffer reused per step."""
-    recon, _ = _forward(weights, np.asarray(windows, dtype=float), mode, rng, False, on_step)
-    return recon
+    weights: ModelWeights, windows: np.ndarray, on_step: Callable[[int, np.ndarray], None]
+) -> None:
+    """Hand decoder step j's outputs for every window, (w, m), to on_step(j, y), in one
+    buffer reused per step that on_step may write over; y[k] reconstructs windows[k, j]."""
+    _forward(weights, np.asarray(windows, dtype=float), on_step=on_step)
 
 
 def loss_and_gradients(
     weights: ModelWeights,
     x: np.ndarray,
-    mode: str = "train",
     rng: np.random.Generator | None = None,
     out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """One forward/backward pass; the gradient is laid out like weights.theta
-    and overwrites `out` when it is given."""
+    """One forward/backward pass, with dropout when `rng` is given; the gradient is
+    laid out like weights.theta and overwrites `out` when it is given."""
     x = np.asarray(x, dtype=float)
-    recon, (enc_cache, enc_mask, dec_cache, dec_mask, dec_out) = _forward(
-        weights, x, mode, rng, keep_cache=True
-    )
+    recon, (enc_cache, enc_mask, dec_cache, dec_mask, dec_out) = _forward(weights, x, rng)
     # each array is written over once used, to keep the step's peak memory low
     d_recon = np.subtract(recon, x, out=recon)
     negative = d_recon < 0  # the residual's sign, one byte a value, while its magnitude takes the array
@@ -254,7 +243,7 @@ def train(weights: ModelWeights, benign_windows: np.ndarray) -> tuple[ModelWeigh
         total = 0.0
         for step, start in enumerate(range(0, n, cfg.batch_size)):
             xb = data[order[start : start + cfg.batch_size]]
-            loss, grads = loss_and_gradients(weights, xb, mode="train", rng=rng, out=grad)
+            loss, grads = loss_and_gradients(weights, xb, rng, out=grad)
             if not math.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite training loss at epoch {epoch + 1}, step {step + 1}"
@@ -297,13 +286,15 @@ def save(weights: ModelWeights, path: str | Path) -> None:
     Path(path).write_text(json_text(doc), encoding="utf-8")
 
 
-def load(path: str | Path) -> ModelWeights:
-    doc = read_json(path, "model file")
+def load(path: str | Path) -> tuple[ModelWeights, str]:
+    """The model in `path` and the sha256 of the bytes it is parsed from: the file is
+    read once, so one replaced meanwhile cannot pair its hash with the old weights."""
+    doc, data = read_json(path, "model file")
     if doc.get("version") != MODEL_FILE_VERSION:
         raise ModelFormatError(f"{path}: unsupported model file version {doc.get('version')!r}")
     try:
         config = ModelConfig(**doc["config"])
-        return ModelWeights.from_parts(
+        weights = ModelWeights.from_parts(
             encoder=_layer_from_doc(doc["encoder"]),
             decoder=_layer_from_doc(doc["decoder"]),
             projection=DenseParams(
@@ -314,3 +305,4 @@ def load(path: str | Path) -> ModelWeights:
         )
     except (KeyError, TypeError, ValueError, ParameterError) as exc:
         raise ModelFormatError(f"{path}: malformed model file ({exc})") from exc
+    return weights, hashlib.sha256(data).hexdigest()

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import itertools
 import logging
 import os
@@ -69,7 +68,7 @@ def add_keys(p: argparse.ArgumentParser, *keys: str) -> None:
 def _read_config(path: str) -> dict:
     """The table keys in a JSON config file, each converted by its type."""
     config = {}
-    for key, value in ingest.read_json(path, "config file", ParameterError).items():
+    for key, value in ingest.read_json(path, "config file", ParameterError)[0].items():
         if key not in KEYS:
             raise ParameterError(f"{path}: unknown config key {key!r}")
         kind = KEYS[key][0]
@@ -200,9 +199,7 @@ def cmd_synth(args: argparse.Namespace, cfg: dict) -> int:
         shift_sigmas=args.shift,
         seed=cfg["seed"],
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with ingest.staged(out / "benign.csv", out / "attack.csv") as parts:
+    with ingest.made_dir(args.out) as out, ingest.staged(out / "benign.csv", out / "attack.csv") as parts:
         for part, ds in zip(parts, synth.gen(config)):
             ingest.write_csv(part, ds.matrix, ds.labels, spec)
     print(f"synth: wrote {config.n_benign} benign rows -> {out / 'benign.csv'}")
@@ -212,9 +209,8 @@ def cmd_synth(args: argparse.Namespace, cfg: dict) -> int:
 
 def cmd_preprocess(args: argparse.Namespace, cfg: dict) -> int:
     spec = FeatureSpec(cfg["features"], cfg["label_col"])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with ingest.staged(out / "train.csv", out / "test.csv", out / "scaler.json") as parts:
+    with (ingest.made_dir(args.out) as out,
+          ingest.staged(out / "train.csv", out / "test.csv", out / "scaler.json") as parts):
         benign = _load_labeled_rows(args.benign, spec, 0, "benign")
         attacks = _load_labeled_rows(args.attacks, spec, 1, "attack")
         train, test, scaler = _split(benign, attacks, spec.names, cfg)
@@ -244,15 +240,9 @@ def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _load_model(path: str) -> tuple[autoencoder.ModelWeights, str]:
-    """The model in `path` and the sha256 of the file's bytes."""
-    weights = autoencoder.load(path)
-    return weights, hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def cmd_calibrate(args: argparse.Namespace, cfg: dict) -> int:
     with ingest.staged(args.out) as (out,):
-        weights, model_sha256 = _load_model(args.model)
+        weights, model_sha256 = autoencoder.load(args.model)
         scaler = ingest.load_scaler(args.scaler)
         # block by block: the maximum score (anomaly.calibrate takes the threshold
         # from these) and the row count
@@ -279,7 +269,7 @@ def cmd_detect(args: argparse.Namespace, cfg: dict) -> int:
     with ingest.staged(args.out) as (part,), open(part, "w", encoding="utf-8", newline="") as fh:
         tm = anomaly.load_threshold(args.thresholds)
         model_path = args.model or Path(args.thresholds).parent / tm.model_path
-        weights, model_sha256 = _load_model(model_path)
+        weights, model_sha256 = autoencoder.load(model_path)
         if model_sha256 != tm.model_sha256:
             raise DataError(
                 f"{model_path} (sha256 {model_sha256[:12]}) is not the model "
@@ -306,10 +296,7 @@ def _read_verdicts(path: str, size: int = ingest.PARSE_BLOCK) -> tuple[np.ndarra
     scores, labels, pairs, n = np.empty(lines), np.empty(lines, dtype=np.int8), Counter(), 0
     with ingest.open_text(path) as fh:
         reader = csv.reader(fh)
-        header = {name: i for i, name in enumerate(next(reader, []))}
-        if not header.keys() >= {"score", "verdict", "label"}:
-            raise DataError(f"{path}: expected columns row_index,score,verdict,label")
-        columns = [header["score"], header["verdict"], header["label"]]
+        columns = ingest.header_columns(path, next(reader, []), ("score", "verdict", "label"))
         while block := list(itertools.islice(fh if size > 1 else reader, size)):
             try:
                 if size > 1:
@@ -341,7 +328,7 @@ def _read_verdicts(path: str, size: int = ingest.PARSE_BLOCK) -> tuple[np.ndarra
 
 def _read_history(path: str) -> tuple[dict, list[float]]:
     """The `config` and `epoch_seconds` of a training history file, empty if absent."""
-    doc = ingest.read_json(path, "history file", DataError)
+    doc = ingest.read_json(path, "history file", DataError)[0]
     config, times = doc.get("config", {}), doc.get("epoch_seconds", [])
     if not isinstance(config, dict):
         raise DataError(f"{path}: config must be a JSON object")
@@ -415,8 +402,8 @@ def cmd_gradcheck(args: argparse.Namespace, cfg: dict) -> int:
     x = rng.uniform(0.0, 1.0, size=(args.windows, config.timesteps, config.features))
 
     def closure():
-        # infer mode keeps dropout off so the loss is deterministic
-        return autoencoder.loss_and_gradients(weights, x, mode="infer")
+        # no rng: no dropout, so the loss is deterministic
+        return autoencoder.loss_and_gradients(weights, x)
 
     report = grad_check(
         closure,

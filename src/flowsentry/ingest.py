@@ -17,7 +17,7 @@ import json
 import logging
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter
@@ -156,12 +156,7 @@ def read_blocks(path: str | Path, spec: FeatureSpec | None = None) -> Iterator[D
         header = next(csv.reader(fh), None)
         if header is None:
             raise SchemaError(f"{path}: empty file, a header row is required")
-        names, needed = [name.strip() for name in header], (*spec.names, spec.label_column)
-        if missing := [c for c in needed if c not in names]:
-            raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
-        if twice := [c for c in needed if names.count(c) > 1]:
-            raise SchemaError(f"{path}: column(s) named more than once: {', '.join(twice)}")
-        wanted = list(map(names.index, needed))
+        wanted = header_columns(path, header, (*spec.names, spec.label_column))
         seen = skipped = 0
         while lines := list(islice(fh, PARSE_BLOCK)):
             part, read, dropped = to_dataset(lines, fh, seen, wanted)
@@ -170,6 +165,17 @@ def read_blocks(path: str | Path, spec: FeatureSpec | None = None) -> Iterator[D
             yield part.pop()
     if skipped:
         logger.warning("%s: skipped %d malformed row(s)", path, skipped)
+
+
+def header_columns(path: str | Path, header: list[str], needed: Sequence[str]) -> list[int]:
+    """The index of each `needed` column in a CSV header row, its names stripped of
+    surrounding whitespace. A needed column that is missing, or named twice, is refused."""
+    names = [name.strip() for name in header]
+    if missing := [c for c in needed if c not in names]:
+        raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
+    if twice := [c for c in needed if names.count(c) > 1]:
+        raise SchemaError(f"{path}: column(s) named more than once: {', '.join(twice)}")
+    return list(map(names.index, needed))
 
 
 def parse_csv(path: str | Path, spec: FeatureSpec | None = None) -> Dataset:
@@ -335,7 +341,7 @@ def save_scaler(scaler: Scaler, path: str | Path) -> None:
 
 
 def load_scaler(path: str | Path) -> Scaler:
-    return scaler_from_doc(read_json(path, "scaler file"), path)
+    return scaler_from_doc(read_json(path, "scaler file")[0], path)
 
 
 def write_csv(
@@ -382,19 +388,38 @@ def json_text(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def read_json(path: str | Path, kind: str, error: type[DataError | ParameterError] = ModelFormatError) -> dict:
-    """The object in the JSON file `path`, a `kind` such as "model file". A
-    file that cannot be read is a DataError; one that is not valid JSON, or
-    holds no JSON object, is an `error`."""
+def read_json(
+    path: str | Path, kind: str, error: type[DataError | ParameterError] = ModelFormatError
+) -> tuple[dict, bytes]:
+    """The object in the JSON file `path`, a `kind` such as "model file", and the
+    bytes it is parsed from. A file that cannot be read is a DataError; one that
+    is not valid JSON, or holds no JSON object, is an `error`."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = Path(path).read_bytes()
+        doc = json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise DataError(f"cannot read {kind} {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise error(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise error(f"{path}: malformed {kind} (not a JSON object)")
-    return doc
+    return doc, data
+
+
+@contextmanager
+def made_dir(path: str | Path) -> Iterator[Path]:
+    """The directory `path`, with its missing levels made; if the block fails, the
+    levels it made are removed again, so a failed run leaves no new directory."""
+    path = Path(path)
+    made = [level for level in (path, *path.parents) if not level.exists()]  # deepest first
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        yield path
+    except BaseException:
+        for level in made:
+            with suppress(OSError):  # one that holds something else stays
+                level.rmdir()
+        raise
 
 
 @contextmanager

@@ -135,11 +135,11 @@ def lstm_layer_forward(
     view of b > 1 windows (x[k, j] == x[k + j, 0], as make_windows gives),
     else b * t. Returns all hidden states (b, t, units) when return_sequences,
     else the final one (b, units), plus the backward cache, laid out in
-    `store` (cache_size floats) when given. keep_cache=False returns no cache.
-    `on_step(j, h)` takes each hidden state (units, b) as it is made, in a slot
-    that step j + 2 writes over; with no cache kept the output is then the final
-    state (b, units). States are made in two slots and copied into the returned
-    (b, t, units) array, which the caller may write over.
+    `store` (cache_size floats) when given. keep_cache=False returns no cache
+    and the final state only. `on_step(j, h)` takes each hidden state (units, b)
+    as it is made, in a slot that step j + 2 writes over. States are made in two
+    slots and copied into the returned (b, t, units) array, which the caller may
+    write over.
     """
     x = np.asarray(seq, dtype=float)
     if x.ndim != 3:
@@ -166,7 +166,7 @@ def lstm_layer_forward(
     else:
         gates, cs = np.empty((t if shift is None else 1, 4 * u, b)), np.empty((2, u, b))
     hs = np.empty((2, u, b))  # step j writes slot j % 2
-    seq = np.empty((b, t, u)) if return_sequences and (keep_cache or on_step is None) else None
+    seq = np.empty((b, t, u)) if return_sequences and keep_cache else None
     w_x = params.w[u:].T
     pre = np.matmul(w_x, x.transpose(1, 2, 0), out=gates) if shift is None else w_x @ rows.T
     pre += params.b[:, None]

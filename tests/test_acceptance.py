@@ -21,6 +21,7 @@ from flowsentry import anomaly, autoencoder, evaluation, ingest, synth
 from flowsentry.cli import main as cli_main
 from flowsentry.lstm import grad_check
 from flowsentry.windowing import WindowConfig, make_windows
+from stepwise import add_errors
 
 
 def report(number, name, ok, details):
@@ -42,7 +43,7 @@ def test_criterion_1_gradient_correctness():
     x = rng.uniform(0.0, 1.0, size=(4, config.timesteps, config.features))
 
     def closure():
-        return autoencoder.loss_and_gradients(weights, x, mode="infer")
+        return autoencoder.loss_and_gradients(weights, x)
 
     result = grad_check(
         closure,
@@ -96,7 +97,7 @@ def test_criterion_2_aggregation_oracle():
         x = rng.uniform(size=(n, m))
         recon = rng.uniform(size=(n - t + 1, t, m))
         sums = np.zeros((n, m))
-        anomaly.per_sample_errors(x, recon, 0, sums)  # the fast path adds; score_matrix divides
+        add_errors(x, recon, sums)  # the fast path adds step by step; score_matrix divides
         counts = [sum(k <= i < k + t for k in range(n - t + 1)) for i in range(n)]
         fast = (sums / np.array(counts, dtype=float)[:, None]).mean(axis=1)
         slow = brute_force_scores(x, recon, t)

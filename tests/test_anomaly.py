@@ -32,6 +32,7 @@ from flowsentry.errors import (
 )
 from flowsentry.ingest import FeatureSpec, Scaler, fit_scaler, write_csv
 from flowsentry.windowing import WindowConfig, make_windows
+from stepwise import add_errors, reconstruct
 
 
 def brute_force_scores(x, recon, t):
@@ -63,7 +64,7 @@ def scores_from_sums(sums, t):
 
 def whole_batch_scores(x, recon):
     sums = np.zeros(x.shape)
-    per_sample_errors(x, recon, 0, sums)
+    add_errors(x, recon, sums)
     return scores_from_sums(sums, recon.shape[1])
 
 
@@ -99,18 +100,27 @@ class TestPerSampleErrors:
 
     def test_shape_mismatch(self):
         x = np.zeros((10, 2))
-        windows = make_windows(x, WindowConfig(3))
         sums = np.zeros((10, 2))
-        with pytest.raises(ShapeError):  # windows 2..8 of an 8-window matrix
-            per_sample_errors(x, np.zeros((7, 3, 2)), 2, sums)
+        with pytest.raises(ShapeError):  # rows 4..10 of a 10-row matrix
+            per_sample_errors(x, np.zeros((7, 2)), 4, sums)
         with pytest.raises(ShapeError):  # sums of another matrix
-            per_sample_errors(np.zeros((11, 2)), windows, 0, sums)
+            per_sample_errors(np.zeros((11, 2)), np.zeros((8, 2)), 0, sums)
         with pytest.raises(ShapeError):
-            per_sample_errors(x, windows[:, :, :1], 0, sums)
+            per_sample_errors(x, np.zeros((8, 1)), 0, sums)
         with pytest.raises(ShapeError):
-            per_sample_errors(x, windows[0], 0, sums)
+            per_sample_errors(x, np.zeros((8, 3, 2)), 0, sums)
         with pytest.raises(ShapeError):
-            per_sample_errors(x, windows, -1, sums)
+            per_sample_errors(x, np.zeros((8, 2)), -1, sums)
+
+    def test_a_step_adds_its_errors_over_its_outputs(self):
+        # one decoder step's (c, m) outputs, c rows from row lo; the outputs are written over
+        rng = np.random.default_rng(4)
+        x, y, sums = rng.uniform(size=(9, 2)), rng.uniform(size=(5, 2)), rng.uniform(size=(9, 2))
+        errors = np.abs(y - x[3:8])
+        expected = sums.copy()
+        expected[3:8] += errors
+        per_sample_errors(x, y, 3, sums)
+        assert sums.tobytes() == expected.tobytes() and y.tobytes() == errors.tobytes()
 
     def test_scores_are_finite_and_non_negative(self):
         rng = np.random.default_rng(3)
@@ -273,7 +283,7 @@ def window_by_window(small_pipeline):
     weights = small_pipeline[-1]
     x = np.random.default_rng(12).uniform(size=(300, 2))
     windows = make_windows(x, WindowConfig(5))
-    recon = np.stack([autoencoder.forward(weights, windows[k : k + 1])[0] for k in range(len(windows))])
+    recon = np.stack([reconstruct(weights, windows[k : k + 1])[0] for k in range(len(windows))])
     return x, weights, brute_force_scores(x, recon, 5)
 
 
@@ -296,10 +306,10 @@ class TestChunkedScoring:
         recon = rng.uniform(size=(19, 5, 3))
         sums = np.zeros((23, 3))
         for lo, hi in ((0, 4), (4, 15), (15, 19)):
-            per_sample_errors(x, recon[lo:hi], lo, sums)
+            add_errors(x, recon[lo:hi], sums, lo)
         assert np.max(np.abs(scores_from_sums(sums, 5) - brute_force_scores(x, recon, 5))) < 1e-12
-        with pytest.raises(ShapeError):
-            per_sample_errors(x, recon[:4], 16, np.zeros((23, 3)))
+        with pytest.raises(ShapeError):  # windows 16..19 of a 19-window matrix: step 4 ends past row 22
+            add_errors(x, recon[:4], np.zeros((23, 3)), 16)
 
     def test_peak_memory_does_not_grow_with_rows(self):
         # t=100: the whole-batch scorer peaked at about 50 kB per window
@@ -365,12 +375,7 @@ def per_step_reference(x, weights, t):
     sums = np.zeros(x.shape)
     for lo in range(0, len(windows), anomaly.SCORE_CHUNK):
         chunk = windows[lo : lo + anomaly.SCORE_CHUNK]
-        recon = np.empty(chunk.shape)
-
-        def keep(j, y):
-            recon[:, j] = y
-
-        autoencoder.forward(weights, chunk, on_step=keep)
+        recon = reconstruct(weights, chunk)
         for k in reversed(range(len(chunk))):
             for o in range(t):
                 sums[lo + k + o] += np.abs(recon[k, o] - x[lo + k + o])
@@ -403,7 +408,7 @@ class TestFusedScoring:
         weights = autoencoder.build(autoencoder.ModelConfig(timesteps=t, features=2, units=16, seed=t))
         x = np.random.default_rng(20 + t).uniform(size=(260 + t, 2))
         windows = make_windows(x, WindowConfig(t))
-        recon = np.stack([autoencoder.forward(weights, windows[k : k + 1])[0] for k in range(len(windows))])
+        recon = np.stack([reconstruct(weights, windows[k : k + 1])[0] for k in range(len(windows))])
         oracle = brute_force_scores(x, recon, t)
         scores = score_matrix(x, weights, WindowConfig(t))
         assert np.max(np.abs(scores - oracle) / oracle) < 1e-12
@@ -463,7 +468,7 @@ class TestStreamedScoring:
         assert scores.tobytes() == whole.tobytes()
         assert labels.tolist() == ds.labels.tolist() and source_rows.tolist() == ds.rows.tolist()
         windows = make_windows(x, WindowConfig(t))
-        recon = [autoencoder.forward(weights, windows[k : k + 1])[0] for k in range(len(windows))]
+        recon = [reconstruct(weights, windows[k : k + 1])[0] for k in range(len(windows))]
         oracle = brute_force_scores(x, np.stack(recon), t)
         assert np.all(np.abs(scores - oracle) <= 1e-12 * oracle)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 from pathlib import Path
@@ -33,6 +34,7 @@ from flowsentry.lstm import (
     lstm_cell_forward,
 )
 from flowsentry.windowing import WindowConfig, make_windows
+from stepwise import reconstruct
 
 DATA = Path(__file__).parent / "data"
 
@@ -144,12 +146,14 @@ class TestForward:
             config=cfg,
         )
         x = np.random.default_rng(0).uniform(size=(6, cfg.timesteps, cfg.features))
-        assert np.allclose(forward(w, x), 0.0)
+        assert np.allclose(reconstruct(w, x), 0.0)
 
-    def test_output_shape_equals_input_shape(self):
+    def test_every_step_hands_over_one_output_per_window(self):
         w = build(ModelConfig())
-        x = np.random.default_rng(1).uniform(size=(1, 10, 5))
-        assert forward(w, x).shape == (1, 10, 5)
+        x = np.random.default_rng(1).uniform(size=(3, 10, 5))
+        seen = []
+        assert forward(w, x, lambda j, y: seen.append((j, y.shape))) is None
+        assert seen == [(j, (3, 5)) for j in range(10)]
 
     def test_matches_stepwise_composition_of_primitives(self):
         # independent re-composition: run encoder cell-by-cell, tile the final
@@ -175,7 +179,7 @@ class TestForward:
             h, c = step(w.decoder, h, c, bottleneck)
             expected[j] = dense_forward(w.projection, h)
 
-        out = forward(w, x, mode="infer")
+        out = reconstruct(w, x)
         assert np.allclose(out[0], expected, atol=1e-12)
 
     @pytest.mark.parametrize("t,m,u", [(10, 5, 16), (2, 1, 32), (7, 3, 5)])
@@ -188,47 +192,26 @@ class TestForward:
         rng = np.random.default_rng(5)
         windows = make_windows(rng.uniform(size=(80, m)), WindowConfig(t))
         for x in (windows[3:40], windows[rng.permutation(len(windows))[:37]], windows[6:7]):
-            trained = np.ascontiguousarray(_forward(w, np.array(x), "train", None, keep_cache=True)[0])
-            assert forward(w, x, mode="infer").tobytes() == trained.tobytes()
-            steps = np.empty((t, len(x), m))
-            assert forward(w, x, on_step=lambda j, y: steps.__setitem__(j, y)) is None
-            scored = np.ascontiguousarray(steps.transpose(1, 0, 2))
+            trained = np.ascontiguousarray(_forward(w, np.array(x))[0])
+            scored = reconstruct(w, x)
             if len(x) > 1:
                 assert scored.tobytes() == trained.tobytes()
             else:  # one window: a product per step, where dense_forward makes one over all t
                 assert np.allclose(scored, trained, rtol=1e-12, atol=0)
 
-    def test_step_callback_refuses_dropout(self):
-        w = build(ModelConfig(seed=3))
-        with pytest.raises(ParameterError):
-            forward(w, np.zeros((2, 10, 5)), "train", np.random.default_rng(0), on_step=print)
-
-    def test_infer_mode_is_rng_independent(self):
-        w = build(ModelConfig(seed=3))
-        x = np.random.default_rng(2).uniform(size=(4, 10, 5))
-        a = forward(w, x, mode="infer")
-        b = forward(w, x, mode="infer", rng=np.random.default_rng(999))
-        assert np.array_equal(a, b)
-
-    def test_train_mode_requires_rng_when_dropout_on(self):
-        w = build(ModelConfig(seed=3))
-        x = np.zeros((2, 10, 5))
-        with pytest.raises(ParameterError):
-            forward(w, x, mode="train")
-
     def test_shape_mismatch(self):
         w = build(ModelConfig())
         with pytest.raises(ShapeError):
-            forward(w, np.zeros((2, 9, 5)))
+            forward(w, np.zeros((2, 9, 5)), print)
         with pytest.raises(ShapeError):
-            forward(w, np.zeros((2, 10, 4)))
+            forward(w, np.zeros((2, 10, 4)), print)
 
 
 class TestMaeLoss:
     """The training loss is the mean absolute reconstruction error."""
 
     def loss(self, w, x):
-        return loss_and_gradients(w, x, mode="infer")[0]
+        return loss_and_gradients(w, x)[0]
 
     def test_identity_is_zero(self):
         cfg = tiny_config()
@@ -240,7 +223,20 @@ class TestMaeLoss:
         x[0], x[1] = 1.0, -3.0
         assert self.loss(zero_model(cfg), x) == 2.0
         w = build(cfg)
-        assert self.loss(w, x) == np.mean(np.abs(forward(w, x) - x))
+        assert self.loss(w, x) == np.mean(np.abs(reconstruct(w, x) - x))
+
+    def test_the_rng_switches_dropout_on(self):
+        # no rng: no dropout, whatever the config's rate; at rate 0 an rng is not drawn from
+        cfg = tiny_config(dropout=0.2)
+        w = build(cfg)
+        plain = ModelWeights(w.theta.copy(), tiny_config(dropout=0.0))
+        x = np.random.default_rng(4).uniform(size=(5, cfg.timesteps, cfg.features))
+        loss, grad = loss_and_gradients(w, x)
+        rng = np.random.default_rng(5)
+        plain_loss, plain_grad = loss_and_gradients(plain, x, rng)
+        assert loss == plain_loss and grad.tobytes() == plain_grad.tobytes()
+        assert rng.random() == np.random.default_rng(5).random()
+        assert loss_and_gradients(w, x, np.random.default_rng(5))[0] != loss
 
     def test_constant_offset_bound(self):
         cfg = tiny_config()
@@ -298,12 +294,12 @@ class TestTrain:
 
     def test_constant_signal_reaches_1e3_within_100_epochs(self):
         # stock defaults (dropout 0.2 included); the model's
-        # reconstruction MAE must converge even though the train-mode
+        # reconstruction MAE must converge even though the training
         # objective carries dropout noise
         cfg = ModelConfig(epochs=100, seed=0)
         data = np.full((600, cfg.timesteps, cfg.features), 0.5)
         w, _ = train(build(cfg), data)
-        assert np.mean(np.abs(forward(w, data) - data)) <= 1e-3
+        assert np.mean(np.abs(reconstruct(w, data) - data)) <= 1e-3
 
     def test_scaled_constant_rows_are_an_exact_fixed_point(self):
         # constant raw rows min-max scale to zeros, which the zero-state
@@ -328,9 +324,10 @@ class TestPersistence:
         w = build(ModelConfig(seed=5))
         path = tmp_path / "model.json"
         save(w, path)
-        loaded = load(path)
+        loaded, sha256 = load(path)
         assert np.array_equal(w.theta, loaded.theta)
         assert loaded.config == w.config
+        assert sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_save_is_deterministic(self, tmp_path):
         w = build(ModelConfig(seed=5))
@@ -358,8 +355,8 @@ class TestPersistence:
         # model_v1.json was written by the per-gate kernel that preceded the
         # stacked layout, with the reconstruction it computed for `x`
         ref = json.loads((DATA / "model_v1_recon.json").read_text())
-        w = load(DATA / "model_v1.json")
-        recon = forward(w, np.array(ref["x"]))
+        w, _ = load(DATA / "model_v1.json")
+        recon = reconstruct(w, np.array(ref["x"]))
         assert np.allclose(recon, np.array(ref["recon"]), rtol=0, atol=1e-12)
         save(w, tmp_path / "again.json")  # v1 on disk is unchanged
         assert (tmp_path / "again.json").read_bytes() == (DATA / "model_v1.json").read_bytes()
@@ -396,7 +393,7 @@ class TestEndToEndGradients:
         x = np.random.default_rng(22).uniform(size=(3, cfg.timesteps, cfg.features))
 
         def closure():
-            return loss_and_gradients(w, x, mode="infer")
+            return loss_and_gradients(w, x)
 
         report = grad_check(
             closure, w.theta, samples=120, rng=np.random.default_rng(23)
@@ -418,7 +415,7 @@ class TestEndToEndGradients:
         x = np.random.default_rng(seed).uniform(size=(b, t, d))
 
         def closure():
-            return loss_and_gradients(w, x, mode="infer")
+            return loss_and_gradients(w, x)
 
         # every parameter is checked: at most 308 of them at u = d = 4
         report = grad_check(closure, w.theta, samples=w.theta.size,
@@ -435,9 +432,9 @@ class TestEndToEndGradients:
         x1 = rng.uniform(size=(3, cfg.timesteps, cfg.features))
         x2 = rng.uniform(size=(5, cfg.timesteps, cfg.features))
         buf = np.full_like(w.theta, np.nan)
-        loss_and_gradients(w, x1, "train", np.random.default_rng(26), out=buf)
-        loss, grad = loss_and_gradients(w, x2, "train", np.random.default_rng(27), out=buf)
-        fresh_loss, fresh = loss_and_gradients(w, x2, "train", np.random.default_rng(27))
+        loss_and_gradients(w, x1, np.random.default_rng(26), out=buf)
+        loss, grad = loss_and_gradients(w, x2, np.random.default_rng(27), out=buf)
+        fresh_loss, fresh = loss_and_gradients(w, x2, np.random.default_rng(27))
         assert grad is buf
         assert loss == fresh_loss
         assert np.array_equal(buf, fresh)
@@ -460,7 +457,7 @@ class TestEndToEndGradients:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                loss_and_gradients(w, x, "train", np.random.default_rng(3), out=grad)
+                loss_and_gradients(w, x, np.random.default_rng(3), out=grad)
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
             finally:
                 tracemalloc.stop()
@@ -491,7 +488,7 @@ class TestEndToEndGradients:
         spy("dense_backward", lambda args, result: result[1])
         cfg = tiny_config(seed=30, dropout=dropout)
         x = np.random.default_rng(31).uniform(size=(6, cfg.timesteps, cfg.features))
-        loss_and_gradients(build(cfg), x, "train", np.random.default_rng(32))
+        loss_and_gradients(build(cfg), x, np.random.default_rng(32))
         states = seen["lstm_layer_forward"][1]  # the decoder's output
         assert states.shape == (6, cfg.timesteps, cfg.units) and states.flags.c_contiguous
         if dropout:  # without dropout each state is projected as it is made

@@ -1,7 +1,10 @@
 import csv
+import dataclasses
 import hashlib
+import io
 import json
 import math
+import os
 import shutil
 import tracemalloc
 from pathlib import Path
@@ -9,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowsentry import anomaly, autoencoder, cli, evaluation, ingest
+from flowsentry import anomaly, autoencoder, cli, errors, evaluation, ingest, synth
 from flowsentry.cli import build_parser, main
 from flowsentry.windowing import WindowConfig
 
@@ -537,6 +540,19 @@ class TestExitCodes:
         assert run("evaluate", "--verdicts", verdicts, "--out", tmp_path / "r.json") == 3
         assert capsys.readouterr().err.strip().splitlines() == [f"error: {verdicts}, {message}"]
 
+    @pytest.mark.parametrize("header, message", [
+        ("row_index,score,verdict,label,score", "column(s) named more than once: score"),
+        ("row_index, score ,verdict", "missing required column(s): label"),
+    ], ids=["score-twice", "no-label"])
+    def test_a_verdict_column_missing_or_named_twice_is_refused(self, tmp_path, capsys, header, message):
+        # the last of two score columns was once read: AUC 0.0 here, where the first gives 1.0
+        verdicts = tmp_path / "v.csv"
+        verdicts.write_text(f"{header}\n0,0.1,0,0,0.9\n1,0.9,1,1,0.1\n")
+        capsys.readouterr()
+        assert run("evaluate", "--verdicts", verdicts, "--out", tmp_path / "r.json") == 3
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {verdicts}: {message}"]
+        assert list(tmp_path.iterdir()) == [verdicts]
+
     @pytest.mark.parametrize("content", [
         b'{"train_loss": [0.1',  # truncated JSON
         b"\xff\xfe not utf-8",
@@ -736,7 +752,7 @@ class TestStreamingStages:
     def test_calibrate_equals_the_whole_matrix(self, scored):
         # the threshold is the maximum whole-matrix score, though it was taken in blocks
         th = json.loads((scored / "th.json").read_text())
-        weights = autoencoder.load(scored / "model.json")
+        weights, _ = autoencoder.load(scored / "model.json")
         scaler = ingest.load_scaler(scored / "scaler.json")
         x = ingest.apply_scaler(ingest.parse_csv(scored / "train.csv").matrix, scaler)
         whole = anomaly.score_matrix(x, weights, WindowConfig(10))
@@ -981,6 +997,82 @@ class TestStagedOutputs:
         assert report.read_text() == "earlier" and sorted(tmp_path.iterdir()) == [report, verdicts]
 
 
+class TestModelReadOnce:
+    """calibrate and detect hash the bytes they parse: the model file is read
+    once, so one replaced after that read cannot pair its hash with the old
+    weights."""
+
+    @pytest.fixture()
+    def swapped(self, small_run, tmp_path, monkeypatch):
+        """model.json holds model A, and th_b.json is calibrated with model B. The
+        first time a stage opens model.json it reads A, and the file is then
+        replaced with B, as train's os.replace would replace it."""
+        model, b = tmp_path / "model.json", tmp_path / "b.json"
+        shutil.copy(small_run / "model.json", model)
+        config = autoencoder.ModelConfig(**json.loads(model.read_text())["config"])
+        autoencoder.save(autoencoder.build(dataclasses.replace(config, seed=config.seed + 1)), b)
+        assert run("calibrate", "--model", b, "--scaler", small_run / "scaler.json",
+                   "--input", small_run / "benign.csv", "--out", tmp_path / "th_b.json") == 0
+        opened, real_open = [], Path.open
+
+        def open_then_replace(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            if path != model or opened:
+                return fh
+            with fh:
+                opened.append(content := fh.read())
+            os.replace(b, model)
+            return io.BytesIO(content) if isinstance(content, bytes) else io.StringIO(content)
+
+        monkeypatch.setattr(Path, "open", open_then_replace)
+        return tmp_path, opened
+
+    def test_detect_refuses_a_model_replaced_after_its_read(self, small_run, swapped, capsys):
+        # the hash was once taken by a second read: of B, which th_b.json names, so A's weights scored
+        root, opened = swapped
+        capsys.readouterr()
+        assert run("detect", "--model", root / "model.json", "--thresholds", root / "th_b.json",
+                   "--input", small_run / "benign.csv", "--out", root / "v.csv") == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "is not the model" in err[0], err
+        assert len(opened) == 1 and not (root / "v.csv").exists()
+
+    def test_calibrate_records_the_hash_of_the_model_it_scored_with(self, small_run, swapped):
+        root, opened = swapped
+        assert run("calibrate", "--model", root / "model.json", "--scaler", small_run / "scaler.json",
+                   "--input", small_run / "benign.csv", "--out", root / "th.json") == 0
+        th = json.loads((root / "th.json").read_text())
+        assert th["model_sha256"] == hashlib.sha256((small_run / "model.json").read_bytes()).hexdigest()
+        assert th["threshold"] == json.loads((small_run / "th.json").read_text())["threshold"]
+
+
+class TestMadeDirectories:
+    """synth and preprocess make their missing --out levels, and a failed run
+    removes the levels it made; a directory that was there stays as it was."""
+
+    @pytest.mark.parametrize("existing, out", [(None, "a/b"), ("have", "have/new"), ("have", "have")])
+    def test_a_failed_synth_leaves_no_directory_it_made(self, tmp_path, capsys, monkeypatch, existing, out):
+        if existing:
+            (tmp_path / existing).mkdir()
+            (tmp_path / existing / "keep.txt").write_text("kept")
+        before, out = sorted(tmp_path.rglob("*")), tmp_path / out
+
+        def fail(config):
+            assert out.is_dir()  # the failure comes after the directory is made
+            raise errors.NumericError("injected")
+            yield
+
+        monkeypatch.setattr(synth, "gen", fail)
+        capsys.readouterr()
+        assert run("synth", "--benign", 20, "--attack", 5, "--out", out) == 4
+        assert capsys.readouterr().err.strip().splitlines() == ["error: injected"]
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_a_successful_synth_makes_every_missing_level(self, tmp_path):
+        assert run("synth", "--benign", 20, "--attack", 5, "--out", tmp_path / "a" / "b") == 0
+        assert sorted(p.name for p in (tmp_path / "a" / "b").iterdir()) == ["attack.csv", "benign.csv"]
+
+
 def refuse(*args, **kwargs):
     pytest.fail("the stage started its work before it checked its outputs")
 
@@ -1111,4 +1203,4 @@ class TestCicFlowMeterLayout:
         assert run("preprocess", "--benign", bad, "--attacks", FLOWS, "--out", tmp_path / "prep") == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {bad}: column(s) named more than once: {name}"], err
-        assert list((tmp_path / "prep").iterdir()) == []
+        assert not (tmp_path / "prep").exists()

