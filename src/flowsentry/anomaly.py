@@ -19,7 +19,7 @@ import numpy as np
 from . import autoencoder
 from .autoencoder import ModelWeights
 from .errors import DataError, ModelFormatError, NumericError, ParameterError, ShapeError
-from .ingest import Scaler, json_text, read_json, scaler_from_doc, scaler_to_doc
+from .ingest import Scaler, check_version, json_text, read_json, scaler_from_doc, scaler_to_doc
 from .windowing import WindowConfig, make_windows
 
 THRESHOLD_FILE_VERSION = 3
@@ -157,10 +157,7 @@ def save_threshold(tm: ThresholdModel, path: str | Path) -> None:
 
 def load_threshold(path: str | Path) -> ThresholdModel:
     doc = read_json(path, "threshold file")[0]
-    if doc.get("version") != THRESHOLD_FILE_VERSION:
-        raise ModelFormatError(
-            f"{path}: unsupported threshold file version {doc.get('version')!r}"
-        )
+    check_version(doc, THRESHOLD_FILE_VERSION, path, "threshold file")
     try:
         return ThresholdModel(
             threshold=float(doc["threshold"]),

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, ModelFormatError, ParameterError, ShapeError
-from .ingest import json_text, read_json
+from .ingest import check_version, json_text, read_json
 from .lstm import (
     AdamState,
     DenseParams,
@@ -290,8 +290,7 @@ def load(path: str | Path) -> tuple[ModelWeights, str]:
     """The model in `path` and the sha256 of the bytes it is parsed from: the file is
     read once, so one replaced meanwhile cannot pair its hash with the old weights."""
     doc, data = read_json(path, "model file")
-    if doc.get("version") != MODEL_FILE_VERSION:
-        raise ModelFormatError(f"{path}: unsupported model file version {doc.get('version')!r}")
+    check_version(doc, MODEL_FILE_VERSION, path, "model file")
     try:
         config = ModelConfig(**doc["config"])
         weights = ModelWeights.from_parts(

@@ -9,14 +9,13 @@ file < flags, and each artifact records the resolved keys of its own stage.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
+import json
 import logging
 import os
 import sys
 from collections import Counter
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -286,39 +285,23 @@ def cmd_detect(args: argparse.Namespace, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _read_verdicts(path: str, size: int = ingest.PARSE_BLOCK) -> tuple[np.ndarray, np.ndarray, Counter]:
+def _read_verdicts(path: str) -> tuple[np.ndarray, np.ndarray, Counter]:
     """The score and label columns, in arrays sized from a line count, and the
-    count of each (verdict, label) pair, read `size` lines at a time by
-    `ingest.plain_columns`. A block it refuses sends the file to the csv module
-    one row at a time, so that the error names the line of its first bad row."""
+    count of each (verdict, label) pair. The first row whose cells are not
+    numbers, or whose score is not finite, is an error naming its last line."""
     with ingest.open_text(path) as fh:
         lines = sum(1 for _ in fh)
     scores, labels, pairs, n = np.empty(lines), np.empty(lines, dtype=np.int8), Counter(), 0
-    with ingest.open_text(path) as fh:
-        reader = csv.reader(fh)
-        columns = ingest.header_columns(path, next(reader, []), ("score", "verdict", "label"))
-        while block := list(itertools.islice(fh if size > 1 else reader, size)):
-            try:
-                if size > 1:
-                    score, verdict, label = ingest.plain_columns(block, columns, "f8,i8,i8")
-                else:
-                    rows = list(filter(None, block))
-                    score, verdict, label = [np.array(list(map(kind, map(itemgetter(i), rows))), dtype=kind)
-                                             for kind, i in zip((float, int, int), columns)]
-            except (IndexError, ValueError, OverflowError) as exc:  # Overflow: beyond int64
-                if size > 1:
-                    return _read_verdicts(path, 1)
-                cells = [rows[0][i] if i < len(rows[0]) else None for i in columns]
-                raise DataError(f"{path}, line {reader.line_num}: score, verdict and label "
-                                f"must be numbers, got {cells}") from exc
-            if not np.isfinite(score).all():
-                if size > 1:
-                    return _read_verdicts(path, 1)
-                raise DataError(f"{path}, line {reader.line_num}: non-finite score {score[0]}")
-            # a label beyond int8 wraps here, but confusion() refuses it from the pairs first
-            scores[n : n + len(score)], labels[n : n + len(score)] = score, label
-            n += len(score)
-            pairs.update(zip(verdict.tolist(), label.tolist()))
+    blocks = ingest.read_fields(path, ("score", "verdict", "label"), "f8,i8,i8")
+    for (score, verdict, label), _, ends, marked in blocks:
+        bad = [(end, f"score, verdict and label must be numbers, got {cells}") for end, cells in marked[:1]]
+        bad += [(ends[i], f"non-finite score {score[i]}") for i in np.flatnonzero(~np.isfinite(score))[:1]]
+        if bad:
+            raise DataError("{}, line {}: {}".format(path, *min(bad)))
+        # a label beyond int8 wraps here, but confusion() refuses it from the pairs first
+        scores[n : n + len(score)], labels[n : n + len(score)] = score, label
+        n += len(score)
+        pairs.update(zip(verdict.tolist(), label.tolist()))
     if not n:
         raise DataError(f"{path}: no verdict rows")
     for column in (scores, labels):  # in place: a shrinking realloc keeps one copy
@@ -329,6 +312,10 @@ def _read_verdicts(path: str, size: int = ingest.PARSE_BLOCK) -> tuple[np.ndarra
 def _read_history(path: str) -> tuple[dict, list[float]]:
     """The `config` and `epoch_seconds` of a training history file, empty if absent."""
     doc = ingest.read_json(path, "history file", DataError)[0]
+    try:  # the report copies the config and the epoch times, and JSON has no NaN
+        json.dumps(doc, allow_nan=False)
+    except ValueError:
+        raise DataError(f"{path}: holds a number that is not finite (NaN or Infinity)") from None
     config, times = doc.get("config", {}), doc.get("epoch_seconds", [])
     if not isinstance(config, dict):
         raise DataError(f"{path}: config must be a JSON object")

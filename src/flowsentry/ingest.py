@@ -20,7 +20,6 @@ import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain, islice
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
@@ -141,41 +140,72 @@ def open_text(path: str | Path) -> Iterator[TextIO]:
 
 
 def read_blocks(path: str | Path, spec: FeatureSpec | None = None) -> Iterator[Dataset]:
-    """The rows of one flow CSV, `PARSE_BLOCK` text lines at a time, as one
-    Dataset per block (see `to_dataset`; a block may keep no row) whose `rows`
-    are the 0-based source data-row indices, blank lines counted.
-
-    Header names are matched after stripping surrounding whitespace; a feature
-    or label column named twice is refused, other columns may repeat. A label
-    equal to "BENIGN" (case-insensitive) encodes to 0, everything else to 1.
-    Rows whose feature cells fail to parse or parse to non-finite values are
-    skipped; the skip count is logged once the file has been read.
-    """
+    """One Dataset per block of a flow CSV's `read_fields` (see `to_dataset`; a
+    block may keep no row). A label equal to "BENIGN" (case-insensitive) is 0,
+    any other 1. Rows whose features do not parse, or are not finite, are
+    skipped; the skip count is logged once the file has been read."""
     spec = spec or FeatureSpec()
-    with open_text(path) as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise SchemaError(f"{path}: empty file, a header row is required")
-        wanted = header_columns(path, header, (*spec.names, spec.label_column))
-        seen = skipped = 0
-        while lines := list(islice(fh, PARSE_BLOCK)):
-            part, read, dropped = to_dataset(lines, fh, seen, wanted)
-            seen, skipped, part = seen + read, skipped + dropped, [part]  # popped as it is yielded
-            del lines  # the line strings are not held while the consumer uses the part
-            yield part.pop()
+    blocks, skipped = read_fields(path, (*spec.names, spec.label_column), "f8," * spec.m + "O"), 0
+    while part := to_dataset(blocks):
+        skipped, part = skipped + part[1], [part[0]]  # popped as it is yielded
+        yield part.pop()
     if skipped:
         logger.warning("%s: skipped %d malformed row(s)", path, skipped)
 
 
-def header_columns(path: str | Path, header: list[str], needed: Sequence[str]) -> list[int]:
-    """The index of each `needed` column in a CSV header row, its names stripped of
-    surrounding whitespace. A needed column that is missing, or named twice, is refused."""
-    names = [name.strip() for name in header]
-    if missing := [c for c in needed if c not in names]:
-        raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
-    if twice := [c for c in needed if names.count(c) > 1]:
-        raise SchemaError(f"{path}: column(s) named more than once: {', '.join(twice)}")
-    return list(map(names.index, needed))
+def read_fields(path: str | Path, needed: Sequence[str], dtype) -> Iterator[tuple]:
+    """The `needed` columns of the CSV file `path`, found by their header names
+    stripped of surrounding whitespace (one missing or named twice is refused,
+    other columns may repeat), a block of `PARSE_BLOCK` text lines at a time:
+    one array per field of the structured `dtype` over the block's rows whose
+    cells convert, their 0-based data-row indices (blank rows counted) and the
+    lines they end on, and the (line, cells) of each row whose cells do not, a
+    missing cell as None. numpy's C reader (`plain_columns`) reads a block if it
+    can; else the csv module does, reading on until a quoted cell that spans the
+    block's end is whole, and converts each cell by its field's scalar type, as
+    `float` or `int` (in its range) would."""
+    dtype = np.dtype(dtype)
+    with open_text(path) as fh:
+        reader = csv.reader(fh)
+        if (header := next(reader, None)) is None:
+            raise SchemaError(f"{path}: empty file, a header row is required")
+        names, row, line = [name.strip() for name in header], 0, reader.line_num
+        del reader  # its buffers are not held while the blocks are used
+        if missing := [c for c in needed if c not in names]:
+            raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
+        if twice := [c for c in needed if names.count(c) > 1]:
+            raise SchemaError(f"{path}: column(s) named more than once: {', '.join(twice)}")
+        columns = list(map(names.index, needed))
+        while lines := list(islice(fh, PARSE_BLOCK)):
+            part, row, line = _read_block(lines, fh, columns, dtype, row, line)
+            part = [part]  # popped as it is yielded
+            del lines  # the line strings are not held while the consumer uses the part
+            yield part.pop()
+
+
+def _read_block(lines: list[str], fh: TextIO, columns: list[int], dtype: np.dtype, row: int, line: int):
+    """One block of `read_fields`, from data row `row` after line `line`, and the row and line after it."""
+    try:
+        fields = plain_columns(lines, columns, dtype)
+    except ValueError:
+        reader, block = csv.reader(chain(lines, fh)), []
+        while reader.line_num < len(lines):
+            block.append((next(reader), line + reader.line_num))
+    else:
+        n = len(lines)
+        return (fields, np.arange(row, row + n), np.arange(line + 1, line + 1 + n), []), row + n, line + n
+    # Python's float and str read fastest; np.int64 reads as int does and refuses an integer out of range
+    kinds = [{"f": float, "O": str}.get(t.kind, t.type) for t in map(dtype.__getitem__, dtype.names)]
+    values, kept, marked = [], [], []
+    for i, (cells, end) in enumerate(block, row):
+        try:
+            values.append(tuple([kind(cells[c]) for kind, c in zip(kinds, columns)]))
+            kept.append((i, end))
+        except (IndexError, ValueError, OverflowError):  # Overflow: an integer out of range
+            if cells:  # a blank row is skipped, not marked
+                marked.append((end, [cells[c] if c < len(cells) else None for c in columns]))
+    table, (rows, ends) = np.array(values, dtype), np.array(kept, dtype=int).reshape(-1, 2).T
+    return ([table[name] for name in dtype.names], rows, ends, marked), row + len(block), block[-1][1]
 
 
 def parse_csv(path: str | Path, spec: FeatureSpec | None = None) -> Dataset:
@@ -195,13 +225,6 @@ def parse_csv(path: str | Path, spec: FeatureSpec | None = None) -> Dataset:
     return Dataset(*out)
 
 
-def _float_or_nan(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        return math.nan
-
-
 def plain_columns(lines: list[str], columns: Sequence[int], dtype) -> list[np.ndarray]:
     """The `columns` cells of csv lines as one array per field of the
     structured `dtype`, by numpy's C reader. A ValueError if a line holds a
@@ -212,32 +235,16 @@ def plain_columns(lines: list[str], columns: Sequence[int], dtype) -> list[np.nd
     return np.loadtxt(lines, dtype, delimiter=",", comments=None, usecols=columns, ndmin=1, unpack=True)
 
 
-def to_dataset(lines: list[str], fh: TextIO, first_row: int, columns: list[int]) -> tuple[Dataset, int, int]:
-    """The rows with finite features of one block of text lines, the number of
-    csv rows read and how many of those that are not blank were dropped.
-
-    `columns` indexes a row's feature cells, then its label cell. Blank rows
-    are dropped but counted in the source indices, which start at
-    `first_row`. `plain_columns` reads the block if it can. Otherwise the csv
-    module does, reading on from `fh` until a quoted cell that spans the
-    block's end is whole; there a short row or an unparseable cell makes the
-    row's features NaN, so it is dropped like a non-finite row.
-    """
-    try:
-        matrix, text = plain_columns(lines, columns, [("x", float, (len(columns) - 1,)), ("label", object)])
-        read, rows = len(lines), np.arange(first_row, first_row + len(lines))
-    except ValueError:
-        reader, block = csv.reader(chain(lines, fh)), []
-        while reader.line_num < len(lines):
-            block.append(next(reader))
-        read, width = len(block), max(columns) + 1
-        rows = first_row + np.flatnonzero(np.fromiter(map(bool, block), bool, read))
-        block = [row if len(row) >= width else [""] * width for row in block if row]
-        *cells, text = [list(map(itemgetter(i), block)) for i in columns]
-        matrix = np.array(list(map(_float_or_nan, chain.from_iterable(cells)))).reshape(len(cells), -1).T
-    keep = np.isfinite(matrix).all(axis=1)
-    labels = np.fromiter(map(BENIGN_LABEL.__ne__, map(str.upper, map(str.strip, text))), int, len(text))
-    return Dataset(matrix[keep], labels[keep], rows[keep]), read, len(text) - int(keep.sum())
+def to_dataset(blocks: Iterator[tuple]) -> tuple[Dataset, int] | None:
+    """The next block of a flow CSV's `read_fields` (feature fields, then a
+    label field), None past the last: its rows with finite features, and how
+    many rows it drops, those whose cells do not convert included."""
+    if (block := next(blocks, None)) is None:
+        return None
+    (*features, text), rows, _, marked = block
+    keep = np.isfinite(matrix := np.column_stack(features)).all(axis=1)
+    labels = np.fromiter(map(BENIGN_LABEL.__ne__, map(str.upper, map(str.strip, text[keep]))), int)
+    return Dataset(matrix[keep], labels, rows[keep]), len(marked) + int(np.count_nonzero(~keep))
 
 
 def fit_scaler(matrix: np.ndarray, feature_names: Sequence[str] = ()) -> Scaler:
@@ -322,11 +329,10 @@ def scaler_from_doc(doc, path: str | Path) -> Scaler:
     """Inverse of `scaler_to_doc`. The feature names are required: every stage
     after preprocess reads its columns from them."""
     try:
-        if doc["version"] != SCALER_FILE_VERSION:
-            raise ModelFormatError(f"{path}: unsupported scaler version {doc['version']!r}")
+        check_version(doc, SCALER_FILE_VERSION, path, "scaler")
         names = tuple(doc["feature_names"])
         scaler = Scaler(np.array(doc["min"], dtype=float), np.array(doc["max"], dtype=float), names)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # AttributeError: not an object
         raise ModelFormatError(f"{path}: malformed scaler ({exc!r})") from exc
     if not names:
         raise ModelFormatError(f"{path}: the scaler names no feature columns")
@@ -334,6 +340,12 @@ def scaler_from_doc(doc, path: str | Path) -> Scaler:
         if not (finite := np.isfinite(getattr(scaler, bound))).all():
             raise ModelFormatError(f"{path}: scaler {bound}[{int(np.argmin(finite))}] is not a finite number")
     return scaler
+
+
+def check_version(doc: dict, version: int, path: str | Path, kind: str) -> None:
+    """Refuse a `kind` file whose "version" is not the integer `version`: true is not 1, nor is 1.0."""
+    if type(found := doc.get("version")) is not int or found != version:
+        raise ModelFormatError(f"{path}: unsupported {kind} version {found!r}")
 
 
 def save_scaler(scaler: Scaler, path: str | Path) -> None:

@@ -40,6 +40,12 @@ def write_scaler(path):
     return path
 
 
+def verdict_lines(bad: dict) -> str:
+    """Rows for lines 4 to 1001 of a verdicts file, two blocks and more: each
+    line's row is `line - 2,0.5,0,0`, or the row `bad` gives for that line."""
+    return "\n".join(bad.get(line, f"{line - 2},0.5,0,0") for line in range(4, 1002))
+
+
 @pytest.fixture()
 def pipeline_dir(tmp_path, monkeypatch):
     """synth -> preprocess -> train -> calibrate -> detect, small but real."""
@@ -531,7 +537,15 @@ class TestExitCodes:
         ("1,0.2", "line 4: score, verdict and label must be numbers, got ['0.2', None, None]"),
         ("1,inf,1,1", "line 4: non-finite score inf"),
         ("1,0.2,1.0,1", "line 4: score, verdict and label must be numbers, got ['0.2', '1.0', '1']"),
-    ], ids=["non-numeric-score", "short-row", "inf-score", "float-verdict"])
+        (verdict_lines({699: "697,abc,1,1"}),
+         "line 699: score, verdict and label must be numbers, got ['abc', '1', '1']"),
+        (verdict_lines({699: "697,inf,1,1", 802: "800,xyz,1,1"}), "line 699: non-finite score inf"),
+        (verdict_lines({699: "697,xyz,1,1", 802: "800,inf,1,1"}),
+         "line 699: score, verdict and label must be numbers, got ['xyz', '1', '1']"),
+        (verdict_lines({600: '598,"0.5\n",0,0', 699: "697,abc,1,1"}),
+         "line 700: score, verdict and label must be numbers, got ['abc', '1', '1']"),
+    ], ids=["non-numeric-score", "short-row", "inf-score", "float-verdict", "second-block",
+            "first-of-two-is-non-finite", "first-of-two-is-not-a-number", "after-a-cell-over-two-lines"])
     def test_malformed_verdict_row_names_its_line(self, tmp_path, capsys, row, message):
         # the blank line counts: the bad row is on line 4
         verdicts = tmp_path / "v.csv"
@@ -539,6 +553,29 @@ class TestExitCodes:
         capsys.readouterr()
         assert run("evaluate", "--verdicts", verdicts, "--out", tmp_path / "r.json") == 3
         assert capsys.readouterr().err.strip().splitlines() == [f"error: {verdicts}, {message}"]
+
+    @pytest.mark.parametrize("text", [
+        "row_index,score,verdict,label\r\n0,0.1,0,0\r\n1,0.9,1,1\r\n",
+        'row_index,score,verdict,label\n"0","0.1",0,0\n"1","0.9",1,1\n',
+        "row_index,score,verdict,label\n0,0.1,0,0\n1,1_0.5,1,1\n",
+        "row_index,score,verdict,label\n0,0.1,0,0\n1,0.9,1,+1\n",
+        "row_index,score,verdict,label\n\n\n0,0.1,0,0\n1,0.9,1,1\n",
+    ], ids=["crlf", "quoted-cells", "underscore-score", "plus-sign-label", "blank-lines"])
+    def test_evaluate_reads_these_verdict_spellings(self, tmp_path, text):
+        # one benign row scored below one attack row, each spelled another way
+        verdicts = tmp_path / "v.csv"
+        verdicts.write_bytes(text.encode())
+        assert run("evaluate", "--verdicts", verdicts, "--out", tmp_path / "r.json") == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["counts"] == {"tp": 1, "tn": 1, "fp": 0, "fn": 0} and report["auc"] == 1.0, report
+
+    def test_a_verdict_file_without_rows_is_a_data_error(self, tmp_path, capsys):
+        verdicts = tmp_path / "v.csv"
+        verdicts.write_text("row_index,score,verdict,label\n")
+        capsys.readouterr()
+        assert run("evaluate", "--verdicts", verdicts, "--out", tmp_path / "r.json") == 3
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {verdicts}: no verdict rows"]
+        assert list(tmp_path.iterdir()) == [verdicts]
 
     @pytest.mark.parametrize("header, message", [
         ("row_index,score,verdict,label,score", "column(s) named more than once: score"),
@@ -559,7 +596,13 @@ class TestExitCodes:
         b"[1, 2, 3]",  # valid JSON, not an object
         b'{"epoch_seconds": "fast"}',
         None,  # a directory: unreadable as a file
-    ], ids=["truncated", "not-utf8", "not-an-object", "bad-epoch-seconds", "directory"])
+        # the report copies the config and the epoch times, and JSON has no NaN or Infinity
+        b'{"epoch_seconds": [NaN]}',
+        b'{"epoch_seconds": [1.0, -Infinity]}',
+        b'{"config": {"lr": Infinity}}',
+        b'{"train_loss": [0.1], "config": {"window": 10, "nested": [NaN]}}',
+    ], ids=["truncated", "not-utf8", "not-an-object", "bad-epoch-seconds", "directory",
+            "nan-epoch-time", "infinite-epoch-time", "infinite-config-value", "nested-nan"])
     def test_corrupt_or_unreadable_history_is_a_data_error(self, tmp_path, capsys, content):
         verdicts = tmp_path / "v.csv"
         verdicts.write_text("row_index,score,verdict,label\n0,0.1,0,0\n1,0.9,1,1\n")

@@ -111,7 +111,9 @@ def corrupt_json(path, how, needed, filled, draw):
         doc["renamed"] = doc.pop(key)
     else:
         old = doc["version"]
-        doc["version"] = draw(st.integers().filter(old.__ne__) | st.text(max_size=3), "version")
+        # true and a float equal to the version are not the version either
+        wrong = st.sampled_from([float(old), True, False]) | st.integers().filter(old.__ne__) | st.text(max_size=3)
+        doc["version"] = draw(wrong, "version")
     path.write_text(json.dumps(doc), encoding="utf-8")
 
 
