@@ -24,7 +24,7 @@ from .windowing import WindowConfig, make_windows
 
 THRESHOLD_FILE_VERSION = 3
 
-SCORE_CHUNK = 256  # windows per forward pass in score_matrix: peak ~ (15*SCORE_CHUNK + 4*t)*u*8 bytes
+SCORE_CHUNK = 256  # windows per forward pass in score_matrix: peak ~ (12*SCORE_CHUNK + 4*t)*u*8 bytes
 
 
 @dataclass

@@ -10,8 +10,8 @@ and one bias ``b`` of shape (4 * units,). Column blocks are ordered
 [f, i, o, g], so the three sigmoid gates are contiguous. The input rows
 ``w[units:]`` project each distinct input row once, before the time loop;
 only the recurrent rows ``w[:units]`` are applied per step. Training caches no
-hidden states (the backward pass rebuilds them); scoring keeps two state slots
-and hands each decoder state to a per-step callback as it is made. Layer functions take a batch
+hidden states (the backward pass rebuilds them); scoring writes each state over
+the one it replaces and hands each decoder state to a per-step callback as it is made. Layer functions take a batch
 of sequences (b, t, d); gradients mirror the input shapes.
 """
 
@@ -100,7 +100,8 @@ def lstm_cell_forward(
     or, when `pre` holds it, any buffer, which then takes the recurrent product
     with no temporary; z is overwritten with the gate activations [f, i, o, g].
     h_prev, c_prev: (units, ...) state going in; h, c, tc receive the new
-    hidden state, cell state and tanh(cell state).
+    hidden state, cell state and tanh(cell state). h may be h_prev, c may be
+    c_prev and tc may be z[3*units:]: each is written after its last read.
 
     [f i o] = sigmoid(z + w[:units].T @ h_prev)    g = tanh(...)
     c = f*c_prev + i*g                             h = o*tanh(c)
@@ -137,9 +138,9 @@ def lstm_layer_forward(
     else the final one (b, units), plus the backward cache, laid out in
     `store` (cache_size floats) when given. keep_cache=False returns no cache
     and the final state only. `on_step(j, h)` takes each hidden state (units, b)
-    as it is made, in a slot that step j + 2 writes over. States are made in two
-    slots and copied into the returned (b, t, units) array, which the caller may
-    write over.
+    as it is made, in one array that the next step writes over; the states are
+    copied from it into the returned (b, t, units) array, which the caller may
+    write over. Without a cache the cell state is one array too.
     """
     x = np.asarray(seq, dtype=float)
     if x.ndim != 3:
@@ -164,26 +165,26 @@ def lstm_layer_forward(
         gates = store[: 4 * t * u * b].reshape(t, 4 * u, b)
         cs = store[4 * t * u * b : cache_size(b, t, u)].reshape(t + 1, u, b)
     else:
-        gates, cs = np.empty((t if shift is None else 1, 4 * u, b)), np.empty((2, u, b))
-    hs = np.empty((2, u, b))  # step j writes slot j % 2
+        gates, cs = np.empty((t if shift is None else 1, 4 * u, b)), np.empty((1, u, b))
+    h = np.zeros((u, b))  # each step writes its state over the one it read
     seq = np.empty((b, t, u)) if return_sequences and keep_cache else None
     w_x = params.w[u:].T
     pre = np.matmul(w_x, x.transpose(1, 2, 0), out=gates) if shift is None else w_x @ rows.T
     pre += params.b[:, None]
-    tc = np.empty((u, b))  # tanh(c) of the current step; the backward pass recomputes it
-    cs[0] = 0.0  # also the hidden state going into step 0
+    tc = np.empty((u, b)) if keep_cache else None  # tanh(c); scoring takes the spent g rows
+    cs[0] = 0.0
     nc = len(cs)
     for j in range(t):
-        h = hs[j % 2]
+        z = gates[j % len(gates)]
         lstm_cell_forward(
-            params, gates[j % len(gates)], hs[(j - 1) % 2] if j else cs[0], cs[j % nc], h,
-            cs[(j + 1) % nc], tc, None if shift is None else pre[:, j * shift : j * shift + b],
+            params, z, h, cs[j % nc], h, cs[(j + 1) % nc], z[3 * u :] if tc is None else tc,
+            None if shift is None else pre[:, j * shift : j * shift + b],
         )
         if seq is not None:
             seq[:, j] = h.T
         if on_step is not None:
             on_step(j, h)
-    out = hs[(t - 1) % 2].T if seq is None else seq
+    out = h.T if seq is None else seq
     cache = LayerCache(x[:, :1] if shift == 0 else x, cs, gates, return_sequences) if keep_cache else None
     return out, cache
 

@@ -346,11 +346,12 @@ class TestChunkedScoring:
 
     @pytest.mark.parametrize("t", [10, 100])
     def test_peak_memory_holds_no_per_step_gate_temporary(self, t):
-        # a cell step writes its recurrent product into its own gate slot, so a chunk
-        # holds one layer's input projection (4u, c + t - 1 at most) and gate slot
-        # (4u, c), up to seven (u, c) state arrays, numpy's ufunc buffer (the encoder adds
-        # a strided slice of its projection) and the stream's scores, rows and error
-        # sums. The margin is less than the (4u, c) temporary a step used to take.
+        # a cell step writes its recurrent product into its own gate slot and each
+        # state over the one it replaces, so a chunk holds one layer's input
+        # projection (4u, c + t - 1 at most) and gate slot (4u, c), up to three (u, c)
+        # state arrays, numpy's ufunc buffer (the encoder adds a strided slice of its
+        # projection) and the stream's scores, rows and error sums. The margin is
+        # less than the (4u, c) temporary a step used to take.
         n, m, u, c = 2000, 5, 16, anomaly.SCORE_CHUNK
         weights = autoencoder.build(autoencoder.ModelConfig(timesteps=t, features=m, units=u))
         x = np.random.default_rng(16).uniform(size=(n, m))
@@ -361,7 +362,7 @@ class TestChunkedScoring:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        kernel = 8 * (4 * u * (c + t - 1) + 4 * u * c + 7 * u * c)
+        kernel = 8 * (4 * u * (c + t - 1) + 4 * u * c + 3 * u * c)
         stream = 8 * (np.getbufsize() + n + 4 * (2 * c + t) * m)
         assert peak <= kernel + stream, (peak, kernel, stream)
 
@@ -493,7 +494,7 @@ class TestStreamedScoring:
         # numpy's ufunc buffer, then one block's arrays: the parsed block and its
         # scaled copy, the pending labels and row indices, the rows and error sums
         # from the carry on, and the two (c, m) temporaries of a step's errors
-        kernel = 8 * (4 * u * (c + t - 1) + 4 * u * c + 7 * u * c + np.getbufsize())
+        kernel = 8 * (4 * u * (c + t - 1) + 4 * u * c + 3 * u * c + np.getbufsize())
         block = 8 * (b * (m + 2) + b * m + 2 * (b + c + t) * (m + 1) + 2 * c * m)
         assert peak <= kernel + block, (peak, kernel, block)
 

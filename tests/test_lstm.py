@@ -139,6 +139,22 @@ class TestCellForward:
         assert np.all(np.abs(gates["g"]) < 1)
         assert np.all(np.abs(tc) < 1)
 
+    @pytest.mark.parametrize("shared_projection", [False, True])
+    def test_aliased_buffers_give_the_bits_of_separate_ones(self, shared_projection):
+        # h may be h_prev, c may be c_prev and tc the step's g rows, as scoring
+        # passes them: each is written only after its last read
+        u, b = 3, 5
+        rng = np.random.default_rng(23)
+        p = random_cell(u, 2, seed=22)
+        pre = rng.normal(size=(4 * u, b))
+        h_prev, c_prev = rng.normal(size=(u, b)), rng.normal(size=(u, b))
+        z, h, c, tc = pre.copy(), np.empty((u, b)), np.empty((u, b)), np.empty((u, b))
+        lstm_cell_forward(p, z, h_prev, c_prev, h, c, tc, pre if shared_projection else None)
+        z_a, h_a, c_a = pre.copy(), h_prev.copy(), c_prev.copy()
+        lstm_cell_forward(p, z_a, h_a, c_a, h_a, c_a, z_a[3 * u :], pre if shared_projection else None)
+        assert h_a.tobytes() == h.tobytes() and c_a.tobytes() == c.tobytes()
+        assert z_a[3 * u :].tobytes() == tc.tobytes() and z_a[: 3 * u].tobytes() == z[: 3 * u].tobytes()
+
     def test_gate_ranges_survive_extreme_inputs(self):
         # float64 saturates sigmoid/tanh at the interval endpoints; values
         # must stay inside the closed interval and finite
