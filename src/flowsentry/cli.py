@@ -112,7 +112,7 @@ def _split(
 ) -> tuple[ingest.Dataset, ingest.Dataset, ingest.Scaler]:
     """The benign training split, the test set (held-out benign rows plus
     sampled attacks) and the scaler fitted on the training split."""
-    train, held = ingest.split_benign(benign, cfg["train_frac"], cfg["seed"])
+    train, held = ingest.split_benign(benign, cfg["train_frac"])
     scaler = ingest.fit_scaler(train.matrix, names)
     return train, ingest.assemble_test_set(held, attacks, cfg["attack_frac"], cfg["seed"]), scaler
 

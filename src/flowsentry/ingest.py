@@ -276,23 +276,16 @@ def apply_scaler(matrix: np.ndarray, scaler: Scaler) -> np.ndarray:
     return out
 
 
-def split_benign(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Split a benign-only dataset into train / held-out parts.
-
-    Rows are selected by a seeded shuffle followed by a contiguous split;
-    each part is then restored to ascending source order so downstream
-    windowing still sees time-ordered samples.
-    """
+def split_benign(ds: Dataset, train_fraction: float) -> tuple[Dataset, Dataset]:
+    """Split a benign-only dataset by time: the first floor(n * train_fraction)
+    rows train, the rest are held out, both in source order, so that adjacent
+    rows of either part are adjacent in time and windows hold no gap."""
     if not 0 < train_fraction < 1:
         raise ParameterError(f"train_fraction must be in (0,1), got {train_fraction}")
     if np.any(ds.labels != 0):
         raise DataError("split_benign requires a benign-only dataset (all labels 0)")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(ds.n)
-    n_train = int(math.floor(ds.n * train_fraction))
-    train_idx = np.sort(order[:n_train])
-    held_idx = np.sort(order[n_train:])
-    return tuple(Dataset(ds.matrix[idx], ds.labels[idx]) for idx in (train_idx, held_idx))
+    k = int(math.floor(ds.n * train_fraction))
+    return Dataset(ds.matrix[:k], ds.labels[:k]), Dataset(ds.matrix[k:], ds.labels[k:])
 
 
 def assemble_test_set(

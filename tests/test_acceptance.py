@@ -225,7 +225,7 @@ def _end_to_end(shift, seed=5):
         seed=seed,
     )
     benign, attacks = synth.gen(cfg)
-    train_ds, held = ingest.split_benign(benign, 0.8, seed)
+    train_ds, held = ingest.split_benign(benign, 0.8)
     scaler = ingest.fit_scaler(train_ds.matrix)
     scaled_train = ingest.apply_scaler(train_ds.matrix, scaler)
     window = WindowConfig(10)
@@ -387,7 +387,7 @@ def test_criterion_8_cicddos2019_replication():
         ds = ingest.parse_csv(path)
         benign = ingest.Dataset(ds.matrix[ds.labels == 0], ds.labels[ds.labels == 0])
         attacks = ingest.Dataset(ds.matrix[ds.labels == 1], ds.labels[ds.labels == 1])
-        train_ds, held = ingest.split_benign(benign, 0.8, seed)
+        train_ds, held = ingest.split_benign(benign, 0.8)
         scaler = ingest.fit_scaler(train_ds.matrix)
         scaled_train = ingest.apply_scaler(train_ds.matrix, scaler)
         window = WindowConfig(10)
