@@ -160,7 +160,7 @@ def _forward(weights: ModelWeights, x: np.ndarray, rng=None, on_step=None):
     # a stride-0 view: the decoder projects the bottleneck once, not t times
     repeated = np.broadcast_to(bottleneck[:, None, :], (x.shape[0], cfg.timesteps, cfg.units))
     step, recon = None, None
-    if on_step is not None or not training:
+    if not training:  # on_step comes without an rng
         # without dropout each decoder state (u, b) is projected as it is made, into one (b, m)
         # buffer for on_step or into the reconstruction, so scoring and training share its bits
         recon = np.empty((x.shape[0], 1 if on_step else cfg.timesteps, cfg.features))
@@ -177,7 +177,7 @@ def _forward(weights: ModelWeights, x: np.ndarray, rng=None, on_step=None):
     if on_step is not None:
         return
     dec_mask = dropout_mask(decoded.shape, cfg.dropout, rng) if training else None
-    if step is None:  # dropout: the (b, t, u) states are projected in one product
+    if training:  # with dropout the (b, t, u) states are projected in one product
         dropout(decoded, dec_mask, cfg.dropout, out=decoded)  # over the decoder's own states
         recon = dense_forward(weights.projection, decoded)
     return recon, (enc_cache, enc_mask, dec_cache, dec_mask, decoded)

@@ -11,8 +11,9 @@ and one bias ``b`` of shape (4 * units,). Column blocks are ordered
 ``w[units:]`` project each distinct input row once, before the time loop;
 only the recurrent rows ``w[:units]`` are applied per step. Training caches no
 hidden states (the backward pass rebuilds them); scoring writes each state over
-the one it replaces and hands each decoder state to a per-step callback as it is made. Layer functions take a batch
-of sequences (b, t, d); gradients mirror the input shapes.
+the one it replaces and hands each decoder state to a per-step callback as it
+is made. Layer functions take a batch of sequences (b, t, d); gradients mirror
+the input shapes.
 """
 
 from __future__ import annotations

@@ -312,7 +312,8 @@ class TestChunkedScoring:
             add_errors(x, recon[:4], np.zeros((23, 3)), 16)
 
     def test_peak_memory_does_not_grow_with_rows(self):
-        # t=100: the whole-batch scorer peaked at about 50 kB per window
+        # t=100: the whole-batch scorer peaked at about 50 kB per window. The returned
+        # scores, 8 bytes a row, must grow with the rows; the rest of the peak may not
         weights = autoencoder.build(autoencoder.ModelConfig(timesteps=100, features=5, units=16))
         rng = np.random.default_rng(14)
         peaks = []
@@ -321,11 +322,11 @@ class TestChunkedScoring:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                score_matrix(x, weights, WindowConfig(100))
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                scores = score_matrix(x, weights, WindowConfig(100))
+                peaks.append(tracemalloc.get_traced_memory()[1] - base - scores.nbytes)
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= 1.1 * peaks[0], peaks
+        assert peaks[1] <= 1.025 * peaks[0], peaks
 
     def test_peak_memory_does_not_grow_with_the_window_length(self):
         # each decoder step's errors go into the sums as the step is made, so

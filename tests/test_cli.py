@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -925,7 +926,8 @@ class TestStreamingStages:
             }
             out = {}
             for stage, argv in stages.items():
-                tracemalloc.start()
+                gc.collect()  # whether a stage's argparse garbage is collected before its peak
+                tracemalloc.start()  # then depends on this stage alone, not on the tests before it
                 try:
                     base = tracemalloc.get_traced_memory()[0]
                     assert run(*argv) == 0
