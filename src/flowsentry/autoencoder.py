@@ -36,7 +36,7 @@ from .lstm import (
 
 logger = logging.getLogger(__name__)
 
-MODEL_FILE_VERSION = 1
+MODEL_FILE_VERSION = 2
 
 
 @dataclass
@@ -65,10 +65,6 @@ class ModelConfig:
             raise ParameterError(f"learning_rate (--lr) must be finite and > 0, got {self.learning_rate}")
 
 
-# Gate blocks of the stacked weights, named as model.json names them per gate.
-FILE_GATES = ("f", "i", "o", "c")
-
-
 def _shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Order and shape of every array in the flat parameter vector."""
     u, m = cfg.units, cfg.features
@@ -76,13 +72,19 @@ def _shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
             "decoder.b": (4 * u,), "projection.weight": (m, u), "projection.bias": (m,)}
 
 
+def _arrays(flat: np.ndarray, cfg: ModelConfig) -> dict[str, np.ndarray]:
+    """Every array of `_shapes`, by name, as a view into one flat vector."""
+    shapes = _shapes(cfg)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    if flat.shape != (sum(sizes),):
+        raise ShapeError(f"parameter vector has shape {flat.shape}, config needs ({sum(sizes)},)")
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
+
+
 def _split(flat: np.ndarray, cfg: ModelConfig) -> tuple[LstmParams, LstmParams, DenseParams]:
     """Encoder, decoder and projection as views into one flat vector."""
-    shapes = list(_shapes(cfg).values())
-    bounds = np.cumsum([0] + [math.prod(s) for s in shapes])
-    if flat.shape != (bounds[-1],):
-        raise ShapeError(f"parameter vector has shape {flat.shape}, config needs ({bounds[-1]},)")
-    v = [flat[lo:hi].reshape(s) for lo, hi, s in zip(bounds, bounds[1:], shapes)]
+    v = list(_arrays(flat, cfg).values())
     return LstmParams(v[0], v[1]), LstmParams(v[2], v[3]), DenseParams(v[4], v[5])
 
 
@@ -101,16 +103,6 @@ class ModelWeights:
         self.encoder, self.decoder, self.projection = _split(self.theta, self.config)
         if not (finite := np.isfinite(self.theta)).all():
             raise ParameterError(f"non-finite model parameter {self.locate(int(np.argmin(finite)))}")
-
-    @classmethod
-    def from_parts(
-        cls, encoder: LstmParams, decoder: LstmParams, projection: DenseParams, config: ModelConfig
-    ) -> "ModelWeights":
-        """Copy separately built layers into one parameter vector."""
-        arrays = (encoder.w, encoder.b, decoder.w, decoder.b, projection.weight, projection.bias)
-        if [a.shape for a in arrays] != list(_shapes(config).values()):
-            raise ShapeError("layer dimensions disagree with the config")
-        return cls(np.concatenate([a.ravel() for a in arrays]), config)
 
     def locate(self, index: int) -> str:
         """Name of entry `index` of theta, e.g. 'encoder.w[3, 17]'."""
@@ -133,7 +125,8 @@ def build(config: ModelConfig) -> ModelWeights:
     encoder = LstmParams.glorot(config.units, config.features, rng)
     decoder = LstmParams.glorot(config.units, config.units, rng)
     projection = DenseParams.glorot(config.features, config.units, rng)
-    return ModelWeights.from_parts(encoder, decoder, projection, config)
+    arrays = (encoder.w, encoder.b, decoder.w, decoder.b, projection.weight, projection.bias)
+    return ModelWeights(np.concatenate([a.ravel() for a in arrays]), config)
 
 
 def _forward(weights: ModelWeights, x: np.ndarray, rng=None, on_step=None):
@@ -256,33 +249,13 @@ def train(weights: ModelWeights, benign_windows: np.ndarray) -> tuple[ModelWeigh
     return weights, report
 
 
-def _layer_to_doc(params: LstmParams) -> dict:
-    """Per-gate arrays as model.json v1 stores them: w_<gate> (units, units + input_dim)."""
-    u, doc = params.units, {}
-    for k, name in enumerate(FILE_GATES):
-        doc[f"w_{name}"] = params.w[:, k * u : (k + 1) * u].T.tolist()
-        doc[f"b_{name}"] = params.b[k * u : (k + 1) * u].tolist()
-    return doc
-
-
-def _layer_from_doc(doc: dict) -> LstmParams:
-    w = [np.array(doc[f"w_{name}"], dtype=float).T for name in FILE_GATES]
-    b = [np.array(doc[f"b_{name}"], dtype=float) for name in FILE_GATES]
-    return LstmParams(np.concatenate(w, axis=1), np.concatenate(b))
-
-
 def save(weights: ModelWeights, path: str | Path) -> None:
-    """Versioned JSON with the config and row-major parameter arrays."""
-    doc = {
-        "version": MODEL_FILE_VERSION,
-        "config": asdict(weights.config),
-        "encoder": _layer_to_doc(weights.encoder),
-        "decoder": _layer_to_doc(weights.decoder),
-        "projection": {
-            "weight": weights.projection.weight.tolist(),
-            "bias": weights.projection.bias.tolist(),
-        },
-    }
+    """Versioned JSON with the config and each parameter array, row-major, under
+    the name `ModelWeights.locate` gives it: {"encoder": {"w": ..., "b": ...}, ...}."""
+    doc = {"version": MODEL_FILE_VERSION, "config": asdict(weights.config)}
+    for name, array in _arrays(weights.theta, weights.config).items():
+        layer, key = name.split(".")
+        doc.setdefault(layer, {})[key] = array.tolist()
     Path(path).write_text(json_text(doc), encoding="utf-8")
 
 
@@ -293,15 +266,13 @@ def load(path: str | Path) -> tuple[ModelWeights, str]:
     check_version(doc, MODEL_FILE_VERSION, path, "model file")
     try:
         config = ModelConfig(**doc["config"])
-        weights = ModelWeights.from_parts(
-            encoder=_layer_from_doc(doc["encoder"]),
-            decoder=_layer_from_doc(doc["decoder"]),
-            projection=DenseParams(
-                np.array(doc["projection"]["weight"], dtype=float),
-                np.array(doc["projection"]["bias"], dtype=float),
-            ),
-            config=config,
-        )
+        arrays = []  # checked before theta is made, so a huge config allocates nothing
+        for name, shape in _shapes(config).items():
+            layer, key = name.split(".")
+            arrays.append(array := np.array(doc[layer][key], dtype=float))
+            if array.shape != shape:
+                raise ValueError(f"{name} has shape {array.shape}, the config needs {shape}")
+        weights = ModelWeights(np.concatenate([a.ravel() for a in arrays]), config)
     except (KeyError, TypeError, ValueError, ParameterError) as exc:
         raise ModelFormatError(f"{path}: malformed model file ({exc})") from exc
     return weights, hashlib.sha256(data).hexdigest()

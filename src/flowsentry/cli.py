@@ -23,7 +23,7 @@ import numpy as np
 
 from . import anomaly, autoencoder, evaluation, ingest, synth
 from .errors import EXIT_NUMERIC, EXIT_OK, DataError, FlowSentryError, ParameterError
-from .ingest import DEFAULT_FEATURES, FeatureSpec
+from .ingest import DEFAULT_FEATURES, DEFAULT_LABEL_COLUMN, FeatureSpec
 from .lstm import grad_check
 from .windowing import WindowConfig, make_windows
 
@@ -42,7 +42,7 @@ def _column_names(value) -> list[str]:
 # key from its flag, else from the --config file, else from this default.
 KEYS: dict[str, tuple[Callable, object, str]] = {
     "features": (_column_names, DEFAULT_FEATURES, "comma-separated feature column names"),
-    "label_col": (str, "Label", "label column name"),
+    "label_col": (str, DEFAULT_LABEL_COLUMN, "label column name"),
     "train_frac": (float, 0.8, "share of benign rows used for training"),
     "attack_frac": (float, 0.005, "share of attack rows sampled into the test set"),
     "window": (int, 10, "window length t in records"),

@@ -325,10 +325,14 @@ def scaler_from_doc(doc, path: str | Path) -> Scaler:
         check_version(doc, SCALER_FILE_VERSION, path, "scaler")
         names = tuple(doc["feature_names"])
         scaler = Scaler(np.array(doc["min"], dtype=float), np.array(doc["max"], dtype=float), names)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # AttributeError: not an object
+    except (AttributeError, KeyError, TypeError, ValueError, ShapeError) as exc:  # AttributeError: no object
         raise ModelFormatError(f"{path}: malformed scaler ({exc!r})") from exc
     if not names:
         raise ModelFormatError(f"{path}: the scaler names no feature columns")
+    if len(names) != scaler.m:
+        raise ModelFormatError(
+            f"{path}: the scaler names {len(names)} feature column(s) but holds {scaler.m} min/max pair(s)"
+        )
     for bound in ("min", "max"):  # json reads NaN and Infinity; a NaN bound scales its feature to 0
         if not (finite := np.isfinite(getattr(scaler, bound))).all():
             raise ModelFormatError(f"{path}: scaler {bound}[{int(np.argmin(finite))}] is not a finite number")

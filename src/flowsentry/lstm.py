@@ -71,8 +71,8 @@ class LstmParams:
         """Uniform Glorot gate weights (fan_in = units+input_dim, fan_out = units), zero biases.
 
         Each gate is drawn as a (units, units + input_dim) block acting on
-        [h, x], in the order f, i, g, o: the order of the per-gate model
-        file, so a seed builds the same model whatever the stacking.
+        [h, x], in the order f, i, g, o that earlier weights were drawn in,
+        so a seed builds the same weights it always has.
         """
         params = cls.zeros(units, input_dim)
         limit = np.sqrt(6.0 / (units + input_dim + units))

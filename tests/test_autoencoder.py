@@ -27,8 +27,6 @@ from flowsentry.errors import (
     ShapeError,
 )
 from flowsentry.lstm import (
-    DenseParams,
-    LstmParams,
     dense_forward,
     grad_check,
     lstm_cell_forward,
@@ -139,12 +137,7 @@ class TestBuild:
 class TestForward:
     def test_zero_weights_reconstruct_zero(self):
         cfg = tiny_config()
-        w = ModelWeights.from_parts(
-            encoder=LstmParams.zeros(cfg.units, cfg.features),
-            decoder=LstmParams.zeros(cfg.units, cfg.units),
-            projection=DenseParams(np.zeros((cfg.features, cfg.units)), np.zeros(cfg.features)),
-            config=cfg,
-        )
+        w = ModelWeights(np.zeros(build(cfg).theta.size), cfg)
         x = np.random.default_rng(0).uniform(size=(6, cfg.timesteps, cfg.features))
         assert np.allclose(reconstruct(w, x), 0.0)
 
@@ -335,9 +328,9 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save(build(tiny_config()), path)
         doc = json.loads(path.read_text())
-        doc["version"] = 2
+        doc["version"] = 1
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match="version"):
+        with pytest.raises(ModelFormatError, match="unsupported model file version 1"):
             load(path)
 
     def test_truncated_file_rejected(self, tmp_path):
@@ -349,20 +342,29 @@ class TestPersistence:
 
     def test_file_from_per_gate_kernel_loads_and_scores(self, tmp_path):
         # model_v1.json was written by the per-gate kernel that preceded the
-        # stacked layout, with the reconstruction it computed for `x`
+        # stacked layout, with the reconstruction it computed for `x`. Each of
+        # its gates w_<gate> (units, units + input_dim) is column block k of the
+        # stacked w, transposed, in the order [f, i, o, g]; g is stored as "c"
         ref = json.loads((DATA / "model_v1_recon.json").read_text())
-        w, _ = load(DATA / "model_v1.json")
+        doc = json.loads((DATA / "model_v1.json").read_text())
+        arrays = []
+        for layer in (doc["encoder"], doc["decoder"]):
+            arrays.append(np.concatenate([np.array(layer[f"w_{g}"]).T for g in "fioc"], axis=1))
+            arrays.append(np.concatenate([layer[f"b_{g}"] for g in "fioc"]))
+        arrays += [np.array(doc["projection"]["weight"]), np.array(doc["projection"]["bias"])]
+        w = ModelWeights(np.concatenate([a.ravel() for a in arrays]), ModelConfig(**doc["config"]))
         recon = reconstruct(w, np.array(ref["x"]))
         assert np.allclose(recon, np.array(ref["recon"]), rtol=0, atol=1e-12)
-        save(w, tmp_path / "again.json")  # v1 on disk is unchanged
-        assert (tmp_path / "again.json").read_bytes() == (DATA / "model_v1.json").read_bytes()
+        save(w, tmp_path / "v2.json")
+        assert load(tmp_path / "v2.json")[0].theta.tobytes() == w.theta.tobytes()
 
     @pytest.mark.parametrize("part, edit", [
         ("projection", lambda d: d["bias"].__setitem__(0, float("nan"))),
-        ("encoder", lambda d: d["w_f"][0].__setitem__(1, float("inf"))),
+        ("encoder", lambda d: d["w"][0].__setitem__(1, float("inf"))),
         ("config", lambda d: d.update(units=0)),
         ("config", lambda d: d.update(learning_rate=float("nan"))),
-    ], ids=["nan-bias", "inf-weight", "zero-units", "nan-learning-rate"])
+        ("config", lambda d: d.update(units=10**9)),
+    ], ids=["nan-bias", "inf-weight", "zero-units", "nan-learning-rate", "huge-units"])
     def test_a_non_finite_or_out_of_range_value_is_a_format_error(self, tmp_path, part, edit):
         path = tmp_path / "model.json"
         save(build(tiny_config()), path)
@@ -372,14 +374,23 @@ class TestPersistence:
         with pytest.raises(ModelFormatError):
             load(path)
 
-    def test_inconsistent_gate_shapes_rejected(self, tmp_path):
+    @pytest.mark.parametrize("name", [
+        "encoder.w", "encoder.b", "decoder.w", "decoder.b", "projection.weight", "projection.bias",
+    ])
+    def test_inconsistent_gate_shapes_rejected(self, tmp_path, name):
+        # one row, or one entry, short of what the config needs
         path = tmp_path / "model.json"
         save(build(tiny_config()), path)
         doc = json.loads(path.read_text())
-        doc["encoder"]["w_o"] = doc["encoder"]["w_o"][:-1]
+        layer, key = name.split(".")
+        needed = np.shape(doc[layer][key])
+        doc[layer][key] = doc[layer][key][:-1]
         path.write_text(json.dumps(doc))
-        with pytest.raises(ShapeError):
+        short = (needed[0] - 1, *needed[1:])
+        message = f"{path}: malformed model file ({name} has shape {short}, the config needs {needed})"
+        with pytest.raises(ModelFormatError) as caught:
             load(path)
+        assert str(caught.value) == message
 
 
 class TestEndToEndGradients:

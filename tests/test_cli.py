@@ -20,6 +20,7 @@ from flowsentry.windowing import WindowConfig
 FAST = [
     "--sigma", "0.5", "--amplitude", "0.5", "--period", "300",
 ]
+DATA = Path(__file__).parent / "data"
 
 
 def run(*argv) -> int:
@@ -318,6 +319,18 @@ class TestArtifactVersions:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "unsupported" in err[0], err
         assert not out.exists()
+
+    def test_version_1_model_file_is_unsupported(self, small_run, tmp_path, capsys):
+        # v1 stored each gate on its own; v2 stores the stacked arrays the model holds
+        model = DATA / "model_v1.json"
+        capsys.readouterr()
+        assert run("calibrate", "--model", model, "--scaler", small_run / "scaler.json",
+                   "--input", small_run / "benign.csv", "--out", tmp_path / "th.json") == 3
+        assert run("detect", "--model", model, "--thresholds", small_run / "th.json",
+                   "--input", small_run / "benign.csv", "--out", tmp_path / "verdicts.csv") == 3
+        line = f"error: {model}: unsupported model file version 1"
+        assert capsys.readouterr().err.strip().splitlines() == [line, line]
+        assert not any(tmp_path.iterdir())
 
 
 class TestGradcheck:
@@ -1073,6 +1086,39 @@ class TestJsonInputs:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: " + message.format(kind=kind, bad=bad)), err
         assert sorted(tmp_path.iterdir()) == ([bad] if content else [])
+
+
+# Each stage that reads a scaler, as argv with the file holding it at `bad` and the
+# output at `out`: train and calibrate read scaler.json, detect th.json's scaler.
+SCALER_READERS = {
+    "train": lambda r, bad, out: [
+        "train", "--input", r / "benign.csv", "--scaler", bad, "--window", 5, "--epochs", 1, "--out", out],
+    "calibrate": lambda r, bad, out: [
+        "calibrate", "--model", r / "model.json", "--scaler", bad, "--input", r / "benign.csv", "--out", out],
+    "detect": lambda r, bad, out: [
+        "detect", "--thresholds", bad, "--model", r / "model.json", "--input", r / "benign.csv", "--out", out],
+}
+
+
+class TestScalerLengths:
+    """A scaler whose feature names, min and max differ in length is a format
+    error naming its file, before any stage reads a column by those names."""
+
+    @pytest.mark.parametrize("cut, message", [
+        ("feature_names", "the scaler names 4 feature column(s) but holds 5 min/max pair(s)"),
+        ("min", "malformed scaler (ShapeError('scaler min/max must be 1-D vectors of equal length'))"),
+    ], ids=["feature-names", "min"])
+    @pytest.mark.parametrize("stage", SCALER_READERS)
+    def test_a_short_scaler_array_is_refused(self, small_run, tmp_path, capsys, stage, cut, message):
+        def edit(doc):
+            scaler = doc["scaler"] if stage == "detect" else doc
+            scaler[cut] = scaler[cut][:-1]
+
+        bad = edit_json(small_run / ("th.json" if stage == "detect" else "scaler.json"), tmp_path / "bad.json", edit)
+        capsys.readouterr()
+        assert run(*SCALER_READERS[stage](small_run, bad, tmp_path / "out")) == 3
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {bad}: {message}"]
+        assert sorted(tmp_path.iterdir()) == [bad]
 
 
 class TestStagedOutputs:

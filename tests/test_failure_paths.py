@@ -8,6 +8,7 @@ leaves no output, `.part` file or directory behind.
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import shutil
@@ -40,17 +41,23 @@ STAGES = {
 }
 
 # Each corruptible file: the stages that read it, the columns (CSV) or
-# top-level keys (JSON) that they need, and the columns a CSV's "nan"
-# corruption fills: every feature cell, or a verdicts file's every score.
+# top-level keys (JSON) that they need, and the cells a corruption edits:
+# the columns a CSV's "nan" corruption fills (every feature cell, or a
+# verdicts file's every score), or the arrays, as key paths, one of which
+# a JSON file's "reshape" corruption cuts short.
 FEATURES, FLOW = ingest.DEFAULT_FEATURES, (*ingest.DEFAULT_FEATURES, "Label")
 FILES = {
     "data/benign.csv": (["preprocess"], FLOW, FEATURES),
     "prep/train.csv": (["train", "calibrate"], FLOW, FEATURES),
     "prep/test.csv": (["detect"], FLOW, FEATURES),
     "verdicts.csv": (["evaluate"], ("score", "verdict", "label"), ("score",)),
-    "prep/scaler.json": (["train", "calibrate"], ("version", "feature_names", "min", "max"), ()),
-    "model.json": (["calibrate", "detect"], ("version", "config", "encoder", "decoder", "projection"), ()),
-    "th.json": (["detect"], ("version", "threshold", "scaler", "model", "model_sha256"), ()),
+    "prep/scaler.json": (["train", "calibrate"], ("version", "feature_names", "min", "max"),
+                         (("feature_names",), ("min",), ("max",))),
+    "model.json": (["calibrate", "detect"], ("version", "config", "encoder", "decoder", "projection"),
+                   (("encoder", "w"), ("encoder", "b"), ("decoder", "w"), ("decoder", "b"),
+                    ("projection", "weight"), ("projection", "bias"))),
+    "th.json": (["detect"], ("version", "threshold", "scaler", "model", "model_sha256"),
+                (("scaler", "feature_names"), ("scaler", "min"), ("scaler", "max"))),
 }
 
 
@@ -109,6 +116,10 @@ def corrupt_json(path, how, needed, filled, draw):
     if how == "rename":
         key = draw(st.sampled_from(needed), "key")
         doc["renamed"] = doc.pop(key)
+    elif how == "reshape":  # the array loses its last element: a row, an entry or a name
+        *parents, key = draw(st.sampled_from(filled), "array")
+        parent = functools.reduce(dict.__getitem__, parents, doc)
+        parent[key] = parent[key][:-1]
     else:
         old = doc["version"]
         # true and a float equal to the version are not the version either
@@ -119,7 +130,7 @@ def corrupt_json(path, how, needed, filled, draw):
 
 CASES = [(name, stage, how) for name, (readers, _, _) in FILES.items() for stage in readers
          for how in (("truncate", "rename", "duplicate", "nan") if name.endswith(".csv")
-                     else ("truncate", "rename", "version"))]
+                     else ("truncate", "rename", "version", "reshape"))]
 
 
 class TestFailurePaths:
@@ -139,4 +150,5 @@ class TestFailurePaths:
         assert code in (2, 3, 4), (code, err)
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and "Traceback" not in err, err
+        assert str(root / name) in lines[0], err
         assert after == before, sorted(set(after) ^ set(before))
